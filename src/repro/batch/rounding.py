@@ -22,12 +22,15 @@ scalar pair :func:`repro.core.generator.target_rounder` /
   every mini-format; otherwise those rare lanes take the scalar
   encoder.
 * **posits** — the bit-string RNE of
-  ``PositFormat._encode_positive_double`` vectorized in int64 (the
-  63-bit head ``(regime << (es+52-shift)) | (tail >> shift)`` avoids
-  the >64-bit intermediate of the scalar code), and a decoder that
-  finds the regime run length with a count-leading-zeros trick (int→
-  float64 conversion is exact below 2**53, so the double's exponent
-  field *is* floor(log2)).
+  ``PositFormat._encode_positive_double``, table driven: a double's
+  11-bit exponent field fixes the regime, the exponent bits and the RNE
+  shift, so one cached row per field value (2048 rows per format) holds
+  the shift, the regime prefix already shifted into place, the
+  remainder mask and the half value.  NaR, the maxpos/minpos saturation
+  binades and the double subnormals are constant rows; a lane is four
+  gathers and a dozen in-place int64 ops.  The decoder finds the regime
+  run length with a count-leading-zeros trick (int→float64 conversion is
+  exact below 2**53, so the double's exponent field *is* floor(log2)).
 * anything else falls back to a scalar loop (still bit-identical, just
   not fast).
 
@@ -40,6 +43,7 @@ zero's sign for every format except the ``struct``-based float32 path
 
 from __future__ import annotations
 
+import functools
 from typing import Callable
 
 import numpy as np
@@ -164,59 +168,91 @@ class _FloatDecode:
 
 
 def _posit_vectorizable(fmt: PositFormat) -> bool:
-    # shift >= 1 in the encoder; <64-bit masks; exact int->float decode
-    return fmt.nbits - 1 <= fmt.es + 52 and fmt.es <= 10
+    # shift >= 1 in the encoder; exact int->float decode.  A format is
+    # only constructible with maxpos < 2**1024, so with this bound
+    # minpos >= 2**-1022 too: every double subnormal saturates to
+    # minpos and the encoder's 52+es bit tail fits int64
+    return fmt.nbits - 1 <= fmt.es + 52
+
+
+@functools.lru_cache(maxsize=None)
+def _posit_table(fmt: PositFormat) -> tuple:
+    """Per-binade rows of the posit encoder, indexed by the double's
+    11-bit biased exponent field: ``(shift, prefix, rmask, half)``.
+
+    Inside (minpos, maxpos) a binade fixes the regime, the exponent bits
+    and hence the RNE shift; ``prefix`` is the regime already shifted
+    into place.  Every other binade is a constant row (shift 63 leaves
+    no fraction bits, ``rmask`` 0 and ``half`` 1 never round up): NaR for
+    NaN/inf, maxpos/minpos for the saturation binades.  Row 0 (zeros
+    and double subnormals) rounds any nonzero fraction up from 0 to
+    minpos's pattern 1.  Cached per format, so every kernel of one
+    target (and every serve worker's ``from_parts``) shares one table.
+    """
+    es = fmt.es
+    avail = fmt.nbits - 1
+    top = (fmt.nbits - 2) << es               # maxpos = 2**top = 1/minpos
+    shift = np.full(2048, 63, np.int64)
+    prefix = np.zeros(2048, np.int64)
+    rmask = np.zeros(2048, np.int64)
+    half = np.ones(2048, np.int64)
+    for ef in range(1, 2047):
+        s = ef - 1023
+        if s >= top:
+            prefix[ef] = fmt.maxpos_bits
+        elif s < -top:
+            prefix[ef] = fmt.minpos_bits
+        else:
+            k = s >> es
+            if k >= 0:
+                rv, rw = (1 << (k + 2)) - 2, k + 2
+            else:
+                rv, rw = 1, 1 - k
+            sh = rw + es + 52 - avail
+            shift[ef] = sh
+            prefix[ef] = rv << (es + 52 - sh)
+            rmask[ef] = (1 << sh) - 1
+            half[ef] = 1 << (sh - 1)
+    rmask[0] = _FRAC52
+    half[0] = 0
+    prefix[2047] = fmt.nar_bits
+    for row in (shift, prefix, rmask, half):
+        row.setflags(write=False)
+    return shift, prefix, rmask, half
 
 
 class _PositEncode:
-    """``PositFormat.from_double`` on arrays (patterns as int64)."""
+    """``PositFormat.from_double`` on arrays (patterns as int64).
+
+    Per lane: the 52+es bit tail ``(eo << 52) | frac52`` (adding
+    ``-1023 mod 2**es`` to the exponent field leaves ``eo`` in its low
+    es bits), four gathers from :func:`_posit_table`, the RNE of
+    ``PositFormat._encode_positive_double`` as ``rem + lsb > half``, and
+    the sign as a two's-complement negate under the format mask.
+    """
 
     def __init__(self, fmt: PositFormat):
-        self.fmt = fmt
+        self.shift, self.prefix, self.rmask, self.half = _posit_table(fmt)
+        self.bias = ((-1023) % (1 << fmt.es)) << 52
+        self.tail = (1 << (52 + fmt.es)) - 1
+        self.mask = fmt.mask
 
     def __call__(self, xs: np.ndarray) -> np.ndarray:
-        fmt = self.fmt
-        es = fmt.es
-        avail = fmt.nbits - 1
-        mask = fmt.mask
-
         b = xs.view(np.int64)
-        mag = b & _ABS64
-        a = np.abs(xs)
-
-        nar_m = mag >= _EXPINF                 # NaN or inf -> NaR
-        zero_m = mag == 0
-        max_m = ~nar_m & (a >= fmt._maxpos_f)
-        min_m = ~zero_m & (a <= fmt._minpos_f)
-
-        # remaining lanes are normal doubles strictly inside
-        # (minpos, maxpos): frexp via the bit pattern
-        s = (mag >> 52) - 1023
-        frac52 = mag & _FRAC52
-        k = s >> es                            # floor division by 2**es
-        eo = s - (k << es)
-        pos_r = k >= 0
-        rw = np.where(pos_r, k + 2, 1 - k)     # regime width
-        rv = np.where(pos_r,
-                      np.left_shift(1, np.clip(k + 2, 0, 62)) - 2, 1)
-        # in-range magnitudes keep rw <= avail, so 1 <= shift <= es+52
-        shift = rw + es + 52 - avail
-        tail = (eo << 52) | frac52
-        head = np.left_shift(rv, es + 52 - shift) | (tail >> shift)
-        rem = tail & (np.left_shift(1, shift) - 1)
-        half = np.left_shift(1, shift - 1)
-        head = head + ((rem > half) | ((rem == half) & ((head & 1) == 1)))
-        head = np.where(head >= np.int64(1) << avail, fmt.maxpos_bits, head)
-
-        neg = b < 0
-        out = np.where(neg, (-head) & mask, head)
-        out[max_m] = np.where(neg[max_m],
-                              (-fmt.maxpos_bits) & mask, fmt.maxpos_bits)
-        out[min_m] = np.where(neg[min_m],
-                              (-fmt.minpos_bits) & mask, fmt.minpos_bits)
-        out[zero_m] = 0
-        out[nar_m] = fmt.nar_bits
-        return out
+        ef = b >> 52
+        ef &= 0x7FF
+        t = b + self.bias
+        t &= self.tail
+        head = t >> self.shift.take(ef)
+        head += self.prefix.take(ef)
+        t &= self.rmask.take(ef)
+        t += head & 1
+        head += t > self.half.take(ef)
+        s = b >> 63
+        head ^= s
+        head -= s
+        head &= self.mask
+        return head
 
 
 class _PositDecode:

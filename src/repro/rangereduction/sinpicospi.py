@@ -78,13 +78,23 @@ def _split_table(l2: float) -> tuple[int, float]:
 
 
 def _split_to_half_batch(ax: np.ndarray):
-    """Array version of :func:`_split_to_half`: (K, M, L') as arrays."""
-    j = np.fmod(ax, 2.0)
+    """Array version of :func:`_split_to_half`: (K, M, L') as arrays.
+
+    ``ax - 2*floor(ax/2)`` equals ``fmod(ax, 2)`` bit for bit on every
+    lane that reaches the reduction (0 <= ax < 2**23): ``ax*0.5`` and
+    ``floor`` are exact (a subnormal ``ax`` floors to 0 either way), and
+    for q = floor(ax/2) >= 1 the subtrahend 2q lies in [ax/2, ax], so
+    the subtraction is exact by Sterbenz.
+    """
+    j = ax * 0.5
+    np.floor(j, out=j)
+    j *= -2.0
+    j += ax
     ge1 = j >= 1.0
-    l = np.where(ge1, j - 1.0, j)
-    refl = l > 0.5
-    l2 = np.where(refl, 1.0 - l, l)
-    return ge1, refl, l2
+    j -= ge1                      # L = J - K, exact (Sterbenz)
+    refl = j > 0.5
+    # 1 - L is exact where L > 1/2 and picked by min exactly there
+    return ge1, refl, np.minimum(j, 1.0 - j)
 
 
 def _split_table_batch(l2: np.ndarray):
