@@ -29,10 +29,9 @@ pipeline and freezing new coefficient tables — lives behind
 :mod:`repro.api.generate`; nothing in this module ever touches the
 oracle or the LP solver.
 
-The older entry points (``repro.libm.runtime.load``,
-``repro.libm.float32`` / ``posit32`` wrappers) keep working;
-``runtime.load`` and ``runtime.reload`` emit ``DeprecationWarning``s
-pointing here.
+The ``repro.libm.float32`` / ``posit32`` module wrappers keep working,
+and :func:`repro.libm.runtime.load_function` stays as the low-level
+loader :func:`load` wraps.
 """
 
 from __future__ import annotations

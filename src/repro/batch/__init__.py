@@ -13,9 +13,10 @@ Layout
 
 ``engine``    :class:`~repro.batch.engine.BatchFunction` — the array
               pipeline behind ``GeneratedFunction.batch``
-``kernels``   vectorized piecewise-polynomial evaluation (index
-              extraction via uint64 bit ops, gathered-coefficient
-              Horner with a bit-exact grouped fallback)
+``kernels``   vectorized piecewise-polynomial evaluation: ``lower``
+              turns each reduced function into one gather table (index
+              from uint64 bit ops, sign folded into the top bit) and
+              ``build_kernel`` emits its straight-line Horner
 ``rounding``  vectorized final rounding / bit-pattern encoding for
               float32, parametric IEEE formats and posits
 ``reduce``    shared numpy helpers for the per-reduction
@@ -29,15 +30,13 @@ import cycle through the engine (which imports ``repro.core``).
 
 from __future__ import annotations
 
-__all__ = ["BatchFunction", "bits_kernel", "compile_approx",
-           "compile_piecewise", "round_kernel"]
+__all__ = ["BatchFunction", "bits_kernel", "compile_approx", "round_kernel"]
 
 _LAZY = {
     "BatchFunction": "repro.batch.engine",
     "bits_kernel": "repro.batch.rounding",
     "round_kernel": "repro.batch.rounding",
     "compile_approx": "repro.batch.kernels",
-    "compile_piecewise": "repro.batch.kernels",
 }
 
 

@@ -1,170 +1,136 @@
 """Vectorized piecewise-polynomial evaluation kernels.
 
-:func:`compile_piecewise` turns a
-:class:`~repro.core.piecewise.PiecewisePolynomial` into an array kernel
-``r -> values`` that is bit-identical, lane for lane, to the compiled
-scalar closure:
+Every reduced elementary function reaches numpy through one route:
+:func:`lower` turns an :class:`~repro.core.piecewise.ApproxFunc` into
+one :class:`Lowered` gather table, and :func:`build_kernel` turns that
+table into an array kernel ``r -> values`` that is bit-identical, lane
+for lane, to the compiled scalar closure ``af.compiled``:
 
 * the sub-domain index is extracted exactly as
   :meth:`~repro.core.piecewise.PiecewisePolynomial.index_of` does —
   one shift and one mask of the reduced input's binary64 bit pattern,
   via a uint64 view of the float64 array;
+* a two-sided approximation widens that field to cover both sides'
+  fields and folds the sign in as the top index bit, using
+  ``r < 0.0`` — exactly the scalar dispatch predicate, so ``-0.0`` and
+  NaN lanes land on the ``pos`` side;
 * the polynomials are evaluated with a *gathered-coefficient* Horner:
-  the per-sub-domain coefficients are stored as one column array per
-  Horner step and gathered by index, so every lane runs the shared
-  straight-line sequence ``acc = acc*u + c[idx]`` regardless of which
-  sub-domain it hit — the array analogue of RLIBM-32's generated C
-  table lookup.
+  ``cols[t]`` holds coefficient ``t`` of every unique sub-domain
+  polynomial and an indirection maps each index key onto the row the
+  scalar path would pick, so every lane runs the shared straight-line
+  sequence ``acc = acc*u + c[idx]`` — the array analogue of RLIBM-32's
+  generated C table lookup.
 
-The gathered form requires every sub-domain polynomial to be a prefix
-of one shared monomial progression (which is what the generator
-produces: Algorithm 3 hands every sub-domain the same candidate
-exponent list and the CEG degree-lowering pass truncates it).  Shorter
-rows are padded with zero coefficients; the padding steps compute
-``0.0*u + c`` which reproduces ``c`` bit-exactly *except* when the
-row's own leading coefficient is a (signed) zero, where the sign of
-zero could flip.  :func:`compile_piecewise` checks both conditions at
-build time and otherwise falls back to grouping lanes by sub-domain and
-running :meth:`~repro.core.polynomials.Polynomial.eval_many` per group
-— slower, but equally bit-exact.
+The gathered form needs every row to be a prefix of one shared
+monomial progression (which is what the generator produces: Algorithm
+3 hands every sub-domain the same candidate exponent list and the CEG
+degree-lowering pass truncates it).  Shorter rows are padded with zero
+coefficients; a padding step computes ``0.0*u + c`` which reproduces
+``c`` bit-exactly *except* when ``c`` is a (signed) zero.  Both
+conditions are :func:`~repro.core.polynomials.padding_shape`, the same
+predicate the compact freezer uses; :func:`lower` refuses a table that
+fails it (prove-or-refuse) rather than carrying a slower fallback.
+Every shipped table lowers (``tests/test_compact.py``).
 
-Two fast paths layer on top of the generic gathered loop, both
-*prove-or-fallback* — the selection logic may only pick a specialized
-kernel whose per-lane operation sequence is identical to the generic
-one, and anything unprovable falls back:
-
-* **frozen tables** — a piecewise polynomial decoded from a compact
-  frozen module (:mod:`repro.libm.compact`) carries a prebuilt
-  :class:`~repro.batch.reduce.FrozenGather` in
-  ``pp.__dict__['_frozen']``: the padded column matrix (deduplicated to
-  *unique* sub-domain polynomials) plus the slot→unique index
-  indirection.  :func:`compile_piecewise` uses it directly instead of
-  re-deriving and re-padding the columns on every load;
-* **degree-specialized kernels** — for each table shape
-  ``(nterms, start, stride, indexed?)`` an unrolled straight-line
-  kernel is generated once (and cached process-wide): the Horner loop
-  is peeled into explicit ``acc *= u; acc += c_t.take(idx, out=buf)``
-  statements and ``_pow_small`` collapses to literal multiplies.  The
-  statement sequence is the generic loop's iteration-for-iteration
-  transcript, so the specialization is bit-identical by construction;
-  shapes beyond :data:`_MAX_UNROLL` terms keep the generic loop.
+:func:`build_kernel` emits the Horner loop as straight-line Python once
+per table shape and caches it process-wide: explicit ``acc *= u;
+acc += c_t.take(idx, out=buf)`` statements, with ``_pow_small``
+collapsed to literal multiplies.  A table with one unique row and no
+sign fold uses scalar coefficients instead of gathers — the
+:meth:`~repro.core.polynomials.Polynomial.eval_many` operation
+sequence.
 """
 
 from __future__ import annotations
 
-import struct
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
-from repro.batch.reduce import FrozenGather
-from repro.core.piecewise import ApproxFunc, PiecewisePolynomial
-from repro.core.polynomials import Polynomial, _pow_small, horner_structure
+from repro.core.piecewise import ApproxFunc
+from repro.core.polynomials import padding_shape, unique_rows
 
-__all__ = ["compile_approx", "compile_piecewise", "frozen_from_polys",
-           "gathered_kernel", "merged_kernel", "merged_sign_tables",
-           "padded_tables"]
+__all__ = ["Lowered", "build_kernel", "compile_approx", "lower"]
 
 
-def padded_tables(polys: Sequence[Polynomial]):
-    """Gathered-Horner tables ``(start, stride, cols)``, or None.
+class Lowered(NamedTuple):
+    """One reduced function as a single gathered-Horner table.
 
-    ``cols[t]`` holds coefficient ``t`` of every sub-domain (zero-padded
-    rows for lowered-degree polynomials).  Returns None when the padded
-    evaluation cannot be proven bit-identical to the scalar path.
-
-    Public because the serving layer's shared-memory arena
-    (:mod:`repro.serve.tables`) freezes exactly these column arrays and
-    rebuilds the kernel in attached worker processes via
-    :func:`gathered_kernel`.
+    The index key of a lane is ``(bits(r) >> shift) & (2**width - 1)``,
+    plus ``2**width`` when ``fold`` is set and ``r < 0.0``.  ``index``
+    maps keys onto the columns of ``cols`` (None = identity); ``cols``
+    is the zero-padded ``nterms x nuniq`` float64 matrix of unique rows,
+    evaluated as ``r**start * horner(r**stride)``.
     """
-    ref = max(polys, key=lambda p: len(p.exponents))
-    exps = ref.exponents
-    struct = horner_structure(exps)
-    if struct is None:
-        return None
-    for p in polys:
-        if tuple(p.exponents) != exps[:len(p.exponents)]:
-            return None
-        # a padded step computes 0.0*u + c_top; that is bit-identical to
-        # starting from c_top unless c_top is a signed zero
-        if len(p.exponents) < len(exps) and p.coefficients[-1] == 0.0:
-            return None
-    start, stride = struct
-    nterms = len(exps)
-    grid = np.zeros((nterms, len(polys)), dtype=np.float64)
-    for i, p in enumerate(polys):
-        grid[:len(p.coefficients), i] = p.coefficients
-    cols = [np.ascontiguousarray(grid[t]) for t in range(nterms)]
-    return start, stride, cols
+
+    shift: int
+    width: int
+    fold: bool
+    start: int
+    stride: int
+    cols: np.ndarray
+    index: Optional[np.ndarray]
 
 
-def frozen_from_polys(pp: PiecewisePolynomial) -> Optional[FrozenGather]:
-    """Deduplicated frozen gathered tables for ``pp``, or None.
+def lower(af: ApproxFunc) -> Lowered:
+    """The :class:`Lowered` table of ``af``; ValueError when unprovable.
 
-    The serving arena uses this for piecewise polynomials that were not
-    loaded from a compact module: pad via :func:`padded_tables`, then
-    merge byte-identical columns behind a slot→unique index indirection
-    so repeated sub-domain polynomials (common after CEG degree
-    lowering) are stored once.  Gathering through the indirection reads
-    the exact same doubles as gathering the full table, so bit-identity
-    is preserved trivially.
+    A one-sided approximation keeps its side's bit field.  A two-sided
+    one widens the field to span both sides' fields and folds the sign
+    in as the top key bit; each (sign, wide-field) key maps to the row
+    that side's own shift and mask select.
     """
-    if pp.index_bits == 0:
-        return None
-    padded = padded_tables(pp.polys)
-    if padded is None:
-        return None
-    start, stride, cols = padded
-    block = np.stack(cols)                       # nterms x nslots
-    nslots = block.shape[1]
-    seen: dict[bytes, int] = {}
-    keep: list[int] = []
-    index = np.empty(nslots, dtype=np.intp)
-    for i in range(nslots):
-        key = block[:, i].tobytes()
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(keep)
-            keep.append(i)
-        index[i] = j
-    uniq = np.ascontiguousarray(block[:, keep])
-    idx = None if len(keep) == nslots else index
-    return FrozenGather(pp.shift, pp.index_bits, start, stride, uniq, idx)
+    sides = [pp for pp in (af.pos, af.neg) if pp is not None]
+    fold = len(sides) == 2
+    spans = [(pp.shift, pp.index_bits) for pp in sides if pp.index_bits]
+    if spans:
+        shift = min(s for s, _ in spans)
+        width = max(s + b for s, b in spans) - shift
+    else:
+        shift, width = 0, 0
+
+    uniq, ids = unique_rows(
+        [(p.exponents, p.coefficients) for pp in sides for p in pp.polys])
+    ids = np.asarray(ids, dtype=np.intp)
+    keys = []
+    wide = np.arange(1 << width)
+    for pp in sides:                   # pos first: sign bit 0
+        side_ids, ids = ids[:len(pp.polys)], ids[len(pp.polys):]
+        if pp.index_bits:
+            sub = (wide >> (pp.shift - shift)) & ((1 << pp.index_bits) - 1)
+        else:
+            sub = np.zeros_like(wide)
+        keys.append(side_ids[sub])
+    index = np.concatenate(keys)
+
+    try:
+        exps, start, stride = padding_shape(uniq)
+    except ValueError as e:
+        raise ValueError(f"cannot lower table {af.name!r}: {e}") from None
+    cols = np.zeros((len(exps), len(uniq)), dtype=np.float64)
+    for i, (_, coeffs) in enumerate(uniq):
+        cols[:len(coeffs), i] = coeffs
+    if np.array_equal(index, np.arange(index.size)):
+        index = None
+    return Lowered(shift, width, fold, start, stride, cols, index)
 
 
-# ---------------------------------------------------------------------------
-# degree-specialized kernels
-
-#: largest table (Horner terms) that gets an unrolled kernel; shipped
-#: tables top out well below this — beyond it the loop overhead the
-#: unrolling removes is noise anyway
-_MAX_UNROLL = 12
-
-_SPECIALIZED_CACHE: dict[tuple, Callable] = {}
+_FACTORY_CACHE: dict[tuple, Callable] = {}
 
 
-def _specialized_factory(nterms: int, start: int, stride: int,
-                         folded: bool, indexed: bool) -> Optional[Callable]:
+def _factory(nterms: int, start: int, stride: int, gather: bool,
+             fold: bool, indexed: bool) -> Callable:
     """A ``(cols, index, shift, mask, signoff) -> kernel`` maker.
 
-    ``folded`` adds the two-sided sign fold (``r < 0.0`` adds
-    ``signoff`` to the bit-pattern field, see
-    :func:`merged_sign_tables`); ``indexed`` routes the result through
-    a slot→unique indirection (small indirections are pre-expanded into
-    the columns at build time instead, see :func:`_expand_index`).  The
-    generated source is the generic gathered loop unrolled for this
-    exact shape — same statements, same order, same in-place ufuncs —
-    so the kernel it builds is bit-identical to :func:`gathered_kernel`
-    running the loop (asserted over every shipped table by
-    ``tests/test_compact.py``).  The sub-domain index is computed as a
-    zero-cost int64 *view* of the masked uint64 field (every value is
-    far below 2**63, so the reinterpretation is the identity).
+    ``gather=False`` binds ``cols`` as scalar coefficients (one unique
+    row, no fold); otherwise every coefficient is gathered by the
+    lane's key.  ``fold`` adds ``signoff`` to the key of ``r < 0.0``
+    lanes; ``indexed`` routes the key through the ``index``
+    indirection.  The key is a zero-cost int64 *view* of the masked
+    uint64 field (every value is far below 2**63).
     """
-    if nterms > _MAX_UNROLL:
-        return None
-    key = (nterms, start, stride, folded, indexed)
-    maker = _SPECIALIZED_CACHE.get(key)
+    key = (nterms, start, stride, gather, fold, indexed)
+    maker = _FACTORY_CACHE.get(key)
     if maker is not None:
         return maker
 
@@ -176,276 +142,71 @@ def _specialized_factory(nterms: int, start: int, stride: int,
     for t in range(nterms):
         lines.append(f"    c{t} = cols[{t}]")
     lines.append("    def kernel(r):")
-    lines.append("        idx = ((r.view(_u64) >> shift) & mask)"
-                 ".view(_i64)")
-    if folded:
-        lines.append("        _add(idx, signoff, out=idx, "
-                     "where=(r < _zero))")
-    if indexed:
-        lines.append("        idx = index.take(idx)")
+    if gather:
+        lines.append("        idx = ((r.view(_u64) >> shift) & mask)"
+                     ".view(_i64)")
+        if fold:
+            lines.append("        _add(idx, signoff, out=idx, "
+                         "where=(r < _zero))")
+        if indexed:
+            lines.append("        idx = index.take(idx)")
+        top = f"c{nterms - 1}.take(idx)"
+        step = "_take(c{t}, idx, out=buf)"
+    else:
+        top = f"_full_like(r, c{nterms - 1})"
+        step = "c{t}"
+    # u before acc: with the temporaries allocated in the other order
+    # the stride-2 (sinh/cosh/sinpi) kernels measured up to 2x slower
     if nterms > 1:
         lines.append(f"        u = {pow_expr(stride)}")
-        lines.append(f"        acc = c{nterms - 1}.take(idx)")
+    lines.append(f"        acc = {top}")
+    if nterms > 1 and gather:
         lines.append("        buf = _empty_like(acc)")
-        for t in range(nterms - 2, -1, -1):
-            lines.append("        acc *= u")
-            lines.append(f"        acc += _take(c{t}, idx, out=buf)")
-    else:
-        lines.append("        acc = c0.take(idx)")
+    for t in range(nterms - 2, -1, -1):
+        lines.append("        acc *= u")
+        lines.append(f"        acc += {step.format(t=t)}")
     if start:
         lines.append(f"        acc *= {pow_expr(start)}")
     lines.append("        return acc")
     lines.append("    return kernel")
     ns = {"_u64": np.uint64, "_i64": np.int64, "_take": np.take,
-          "_empty_like": np.empty_like, "_add": np.add, "_zero": 0.0}
+          "_empty_like": np.empty_like, "_full_like": np.full_like,
+          "_add": np.add, "_zero": 0.0}
     exec(compile("\n".join(lines), f"<horner{key}>", "exec"), ns)
     maker = ns["_maker"]
-    _SPECIALIZED_CACHE[key] = maker
+    _FACTORY_CACHE[key] = maker
     return maker
 
 
-#: largest pre-expanded table (doubles): below this, a slot→unique
+#: largest pre-expanded table (doubles): below this, a key→unique
 #: indirection is composed into the columns at kernel-build time,
 #: trading a few KB of per-process memory for one less 1M-lane gather
 #: per call
 _EXPAND_MAX = 65536
 
 
-def _expand_index(cols: Sequence[np.ndarray], index: Optional[np.ndarray]):
-    """Compose a small indirection into the columns (same doubles).
+def build_kernel(lw: Lowered) -> Callable:
+    """The straight-line Horner kernel over one :class:`Lowered` table.
 
-    ``cols[t].take(index)`` precomputes ``cols[t][index[k]]`` for every
-    key ``k``, so the runtime gather reads the identical double with
-    one hop instead of two; large indirections are kept as-is.
+    ``lw.cols`` may be any float64 matrix — freshly lowered, or a
+    read-only view into a shared-memory arena; the kernel never writes
+    into it.  A small indirection is composed into the columns
+    (``cols[t].take(index)`` reads the identical doubles with one hop
+    instead of two); large ones are kept.
     """
-    if index is None or index.size * len(cols) > _EXPAND_MAX:
-        return list(cols), index
-    return [c.take(index) for c in cols], None
-
-
-def gathered_kernel(shift: int, index_bits: int, start: int, stride: int,
-                    cols: Sequence[np.ndarray],
-                    index: Optional[np.ndarray] = None,
-                    specialize: bool = True) -> Callable:
-    """The gathered-coefficient Horner kernel over prebuilt column arrays.
-
-    ``cols`` may be any float64 arrays of equal length — freshly padded
-    ones from :func:`padded_tables`, deduplicated unique columns, or
-    read-only views into a shared-memory arena; the kernel never writes
-    into them.  ``index``, when given, is the slot→unique indirection of
-    a deduplicated table: the bit-pattern index selects a slot, the
-    indirection selects the unique polynomial (identical doubles either
-    way).  ``specialize=False`` forces the generic loop — the reference
-    the tests hold the specialized kernels against.
-    """
-    u_shift = np.uint64(shift)
-    mask = np.uint64((1 << index_bits) - 1)
-    nterms = len(cols)
-
-    if specialize:
-        cols, index = _expand_index(cols, index)
-        maker = _specialized_factory(nterms, start, stride, False,
-                                     index is not None)
-        if maker is not None:
-            return maker(list(cols), index, u_shift, mask, 0)
-
-    def kernel(r: np.ndarray) -> np.ndarray:
-        idx = ((r.view(np.uint64) >> u_shift) & mask).astype(np.intp)
-        if index is not None:
-            idx = index.take(idx)
-        if nterms > 1:
-            u = _pow_small(r, stride)
-            acc = cols[nterms - 1].take(idx)
-            buf = np.empty_like(acc)
-            # in-place steps: same multiply/add per lane, no temporaries
-            for t in range(nterms - 2, -1, -1):
-                acc *= u
-                acc += np.take(cols[t], idx, out=buf)
-        else:
-            acc = cols[0].take(idx)
-        if start:
-            acc *= _pow_small(r, start)
-        return acc
-
-    return kernel
-
-
-#: widest merged bit field (sign excluded); the indirection table holds
-#: ``2**(w+1)`` intp entries, so 12 caps it at 8192 — shipped two-sided
-#: tables stay below w=5
-_MERGE_MAX_BITS = 12
-
-
-def merged_sign_tables(af: ApproxFunc):
-    """Single-table form of a two-sided approximation, or None.
-
-    The batch sign dispatch (mask, gather negative lanes, evaluate,
-    scatter — then again for the positive lanes) costs more than the
-    polynomial evaluation itself on small tables.  When both sides
-    draw from one shared monomial progression, the two piecewise
-    tables merge into a single gathered table whose index is the
-    side's own bit-pattern field widened to cover both sides' fields,
-    plus the sign fold (``r < 0.0``, exactly the dispatch predicate —
-    ``-0.0`` and NaN lanes land on the ``pos`` side, as before) as the
-    top index bit.  An indirection table maps each (sign, wide-field)
-    key to the unique polynomial row the unmerged path would have
-    picked, so the gathered doubles are identical lane for lane and
-    the only op-sequence change is the zero-padding of shorter rows —
-    sound under exactly the :func:`padded_tables` conditions, which
-    this derivation re-checks over the *union* of both sides' rows.
-
-    Returns ``(smin, w, start, stride, cols, index)`` with ``cols``
-    the padded ``nterms x nuniq`` unique-row columns and ``index`` the
-    ``2**(w+1)``-entry indirection, or None when unprovable.
-    """
-    neg, pos = af.neg, af.pos
-    if neg is None or pos is None:
-        return None
-    spans = [(pp.shift, pp.index_bits) for pp in (neg, pos)
-             if pp.index_bits > 0]
-    if spans:
-        smin = min(s for s, _ in spans)
-        w = max(s + b for s, b in spans) - smin
-    else:
-        smin, w = 0, 0
-    if w > _MERGE_MAX_BITS:
-        return None
-    polys = list(neg.polys) + list(pos.polys)
-    ref = max(polys, key=lambda p: len(p.exponents))
-    exps = ref.exponents
-    struct_ = horner_structure(exps)
-    if struct_ is None:
-        return None
-    for p in polys:
-        if tuple(p.exponents) != exps[:len(p.exponents)]:
-            return None
-        if len(p.exponents) < len(exps) and p.coefficients[-1] == 0.0:
-            return None
-    start, stride = struct_
-    nterms = len(exps)
-
-    seen: dict[tuple, int] = {}
-    uniq: list[Polynomial] = []
-
-    def uid(p: Polynomial) -> int:
-        key = (tuple(p.exponents),
-               struct.pack(f"<{len(p.coefficients)}d", *p.coefficients))
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(uniq)
-            uniq.append(p)
-        return j
-
-    index = np.empty(1 << (w + 1), dtype=np.intp)
-    for sign, pp in ((0, pos), (1, neg)):
-        maskb = (1 << pp.index_bits) - 1
-        for wide in range(1 << w):
-            if pp.index_bits:
-                sub = (wide >> (pp.shift - smin)) & maskb
-            else:
-                sub = 0
-            index[(sign << w) | wide] = uid(pp.polys[sub])
-    grid = np.zeros((nterms, len(uniq)), dtype=np.float64)
-    for i, p in enumerate(uniq):
-        grid[:len(p.coefficients), i] = p.coefficients
-    return smin, w, start, stride, grid, index
-
-
-def merged_kernel(smin: int, w: int, start: int, stride: int,
-                   cols: np.ndarray, index: np.ndarray) -> Callable:
-    """Kernel over :func:`merged_sign_tables` output (both signs)."""
-    nterms = len(cols)
-    u_shift = np.uint64(smin)
-    mask = np.uint64((1 << w) - 1)
-    signoff = 1 << w
-    xcols, xindex = _expand_index(list(cols), index)
-    maker = _specialized_factory(nterms, start, stride, True,
-                                 xindex is not None)
-    if maker is not None:
-        return maker(xcols, xindex, u_shift, mask, signoff)
-
-    def kernel(r: np.ndarray) -> np.ndarray:
-        idx = ((r.view(np.uint64) >> u_shift) & mask).astype(np.intp)
-        np.add(idx, signoff, out=idx, where=(r < 0.0))
-        idx = index.take(idx)
-        if nterms > 1:
-            u = _pow_small(r, stride)
-            acc = cols[nterms - 1].take(idx)
-            buf = np.empty_like(acc)
-            for t in range(nterms - 2, -1, -1):
-                acc *= u
-                acc += np.take(cols[t], idx, out=buf)
-        else:
-            acc = cols[0].take(idx)
-        if start:
-            acc *= _pow_small(r, start)
-        return acc
-
-    return kernel
-
-
-def compile_piecewise(pp: PiecewisePolynomial) -> Callable:
-    """Array kernel for one piecewise polynomial (bit-exact per lane)."""
-    if pp.index_bits == 0:
-        p0 = pp.polys[0]
-        return p0.eval_many
-
-    fz = pp.__dict__.get("_frozen")
-    if isinstance(fz, FrozenGather) and fz.index_bits == pp.index_bits \
-            and fz.shift == pp.shift:
-        return gathered_kernel(fz.shift, fz.index_bits, fz.start,
-                               fz.stride, list(fz.cols), fz.index)
-
-    padded = padded_tables(pp.polys)
-    if padded is not None:
-        start, stride, cols = padded
-        return gathered_kernel(pp.shift, pp.index_bits, start, stride, cols)
-
-    shift = np.uint64(pp.shift)
-    mask = np.uint64((1 << pp.index_bits) - 1)
-
-    def indices(r: np.ndarray) -> np.ndarray:
-        return ((r.view(np.uint64) >> shift) & mask).astype(np.intp)
-
-    polys = pp.polys
-
-    def kernel(r: np.ndarray) -> np.ndarray:
-        idx = indices(r)
-        out = np.empty_like(r)
-        for i in np.unique(idx):
-            sel = idx == i
-            out[sel] = polys[i].eval_many(r[sel])
-        return out
-
-    return kernel
+    nterms, nuniq = lw.cols.shape
+    if nuniq == 1 and not lw.fold:
+        maker = _factory(nterms, lw.start, lw.stride, False, False, False)
+        return maker([float(c) for c in lw.cols[:, 0]], None, 0, 0, 0)
+    cols, index = list(lw.cols), lw.index
+    if index is not None and index.size * nterms <= _EXPAND_MAX:
+        cols, index = [c.take(index) for c in cols], None
+    maker = _factory(nterms, lw.start, lw.stride, True, lw.fold,
+                     index is not None)
+    return maker(cols, index, np.uint64(lw.shift),
+                 np.uint64((1 << lw.width) - 1), 1 << lw.width)
 
 
 def compile_approx(af: ApproxFunc) -> Callable:
-    """Array kernel mirroring ``ApproxFunc.compiled`` sign dispatch.
-
-    When only one sign's piecewise polynomial exists the compiled scalar
-    closure uses it for *every* input with no sign check; the batch
-    kernel reproduces exactly that behaviour.
-    """
-    neg = compile_piecewise(af.neg) if af.neg is not None else None
-    pos = compile_piecewise(af.pos) if af.pos is not None else None
-    if neg is None:
-        return pos
-    if pos is None:
-        return neg
-
-    merged = merged_sign_tables(af)
-    if merged is not None:
-        return merged_kernel(*merged)
-
-    def kernel(r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        m = r < 0.0
-        if m.any():
-            out[m] = neg(r[m])
-        m = ~m
-        if m.any():
-            out[m] = pos(r[m])
-        return out
-
-    return kernel
+    """Array kernel bit-identical to ``af.compiled``, lane for lane."""
+    return build_kernel(lower(af))

@@ -27,43 +27,17 @@ These helpers centralize the two integer idioms those methods need —
   the hot path never re-converts the Python tuples; the lazy
   ``np.array(tuple)`` conversion below is only the fallback for
   non-compact (test-constructed) functions.
-
-:class:`FrozenGather` lives here — not in :mod:`repro.batch.kernels` —
-so the lightweight decode path (``repro.libm.compact``) can attach
-frozen gathered-Horner tables to a piecewise polynomial without pulling
-in the kernel compiler and the generation core behind it.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional
 from weakref import WeakKeyDictionary
 
 import numpy as np
 
-__all__ = ["FrozenGather", "prime", "rint_i64", "table", "trunc_i64"]
+__all__ = ["prime", "rint_i64", "table", "trunc_i64"]
 
 _TABLE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
-
-
-class FrozenGather(NamedTuple):
-    """Prebuilt gathered-Horner tables for one piecewise side.
-
-    ``cols`` is the padded coefficient matrix (``nterms`` x ``nuniq``
-    float64, row ``t`` = coefficient ``t`` of every *unique* sub-domain
-    polynomial); ``index`` maps the 2**index_bits sub-domain slots onto
-    the unique polynomials (None = identity, no duplicates).  Attached
-    to ``PiecewisePolynomial.__dict__['_frozen']`` by the compact
-    decoder and consumed by :func:`repro.batch.kernels.compile_piecewise`
-    so loading a compact table never re-derives or re-pads the columns.
-    """
-
-    shift: int
-    index_bits: int
-    start: int
-    stride: int
-    cols: np.ndarray
-    index: Optional[np.ndarray]
 
 
 def rint_i64(x: np.ndarray) -> np.ndarray:

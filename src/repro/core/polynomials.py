@@ -23,11 +23,12 @@ dense representation:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from struct import pack
 from typing import Sequence
 
 import numpy as np
 
-__all__ = ["Polynomial", "horner_structure"]
+__all__ = ["Polynomial", "horner_structure", "padding_shape", "unique_rows"]
 
 
 def _pow_small(r, e: int):
@@ -58,6 +59,54 @@ def horner_structure(exponents: Sequence[int]) -> tuple[int, int] | None:
         if b - a != stride:
             return None
     return exps[0], stride
+
+
+def padding_shape(rows) -> tuple[tuple[int, ...], int, int]:
+    """``(exponents, start, stride)`` every row zero-pads to, soundly.
+
+    ``rows`` are ``(exponents, coefficients)`` pairs.  Zero-padding a
+    short row turns its first Horner step into ``0.0*u + c_top``, which
+    is bit-identical to starting from ``c_top`` unless ``c_top`` is a
+    signed zero.  So padding is sound when every row's exponents are a
+    prefix of one arithmetic progression and no short row ends in a
+    zero coefficient; otherwise this raises ValueError naming the
+    condition that fails.  The compact freezer and the batch lowering
+    both decide with this one predicate.
+    """
+    exps = max((tuple(e) for e, _ in rows), key=len)
+    shape = horner_structure(exps)
+    if shape is None:
+        raise ValueError(f"exponents {exps} are not an arithmetic "
+                         "progression")
+    for e, c in rows:
+        if tuple(e) != exps[:len(e)]:
+            raise ValueError(f"exponents {tuple(e)} are not a prefix of "
+                             f"{exps}")
+        if len(e) < len(exps) \
+                and c[-1] == 0.0:  # fplint: disable=FP101 — exact-zero test
+            raise ValueError(f"a {len(e)}-term row ends in a zero "
+                             "coefficient")
+    return (exps,) + shape
+
+
+def unique_rows(rows) -> tuple[list, list[int]]:
+    """Unique ``(exponents, coefficients)`` rows and the row→unique map.
+
+    Identity is *bit* identity: two rows merge only when their exponent
+    tuples match and every coefficient has the same 64-bit pattern
+    (``struct.pack`` keys, so ``0.0`` and ``-0.0`` stay distinct).
+    """
+    uniq: list = []
+    index: list[int] = []
+    seen: dict = {}
+    for exps, coeffs in rows:
+        key = (tuple(exps), pack(f"<{len(coeffs)}d", *coeffs))
+        j = seen.get(key)
+        if j is None:
+            j = seen[key] = len(uniq)
+            uniq.append((tuple(exps), tuple(coeffs)))
+        index.append(j)
+    return uniq, index
 
 
 def _compile_source(exponents: tuple[int, ...],

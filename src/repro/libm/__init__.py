@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.libm.runtime import (FLOAT32_FUNCTIONS, POSIT32_FUNCTIONS,
-                                available, load, load_function)
+                                available, load_function)
 
-__all__ = ["FLOAT32_FUNCTIONS", "POSIT32_FUNCTIONS", "available", "load",
+__all__ = ["FLOAT32_FUNCTIONS", "POSIT32_FUNCTIONS", "available",
            "load_function"]

@@ -18,11 +18,11 @@ Python file but moves every double into one deduplicated *pool*:
 * identical sub-domain polynomials are deduplicated: each piecewise
   side stores its *unique* polynomials once plus an index indirection
   mapping the ``2**index_bits`` sub-domain slots onto them;
-* sides whose polynomials form a shared monomial prefix (the gathered-
-  Horner precondition, see :func:`repro.batch.kernels.padded_tables`)
-  are frozen as the *already padded* column matrix (``mode="packed"``),
-  so the batch engine and the serving arena reuse the columns as
-  zero-copy views instead of re-padding per load;
+* sides that pass the padding predicate
+  (:func:`repro.core.polynomials.padding_shape` — the one the batch
+  lowering :func:`repro.batch.kernels.lower` also decides with) are
+  frozen as the zero-padded column matrix of their unique rows
+  (``mode="packed"``); the rest store each unique row (``mode="raw"``);
 * everything non-float (ints, strings, structure) stays a small
   literal skeleton in which floats are replaced by pool references.
 
@@ -52,8 +52,7 @@ from typing import Any, NamedTuple, Optional
 
 import numpy as np
 
-from repro.batch.reduce import FrozenGather
-from repro.core.polynomials import horner_structure
+from repro.core.polynomials import padding_shape, unique_rows
 
 __all__ = ["COMPACT_VERSION", "CompactError", "DecodedModule", "decode",
            "decode_module", "encode", "function_from_compact",
@@ -83,15 +82,21 @@ class _PoolBuilder:
         self._buf = bytearray()
         self._offsets: dict[bytes, int] = {}
 
-    def add_vector(self, values) -> int:
-        """Offset (in doubles) of this exact vector, appending once."""
-        raw = struct.pack(f"<{len(values)}d", *values)
+    def _add_raw(self, raw: bytes) -> int:
+        """Offset (in doubles) of these exact bytes, appending once."""
         off = self._offsets.get(raw)
         if off is None:
             off = len(self._buf) // 8
             self._offsets[raw] = off
             self._buf += raw
         return off
+
+    def add_vector(self, values) -> int:
+        return self._add_raw(struct.pack(f"<{len(values)}d", *values))
+
+    def add_array(self, arr: np.ndarray) -> int:
+        return self._add_raw(
+            np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
     def add_scalar(self, value: float) -> int:
         return self.add_vector((value,))
@@ -100,8 +105,11 @@ class _PoolBuilder:
     def ndoubles(self) -> int:
         return len(self._buf) // 8
 
+    def raw(self) -> bytes:
+        return bytes(self._buf)
+
     def packed(self) -> str:
-        return base64.b64encode(bytes(self._buf)).decode("ascii")
+        return base64.b64encode(self.raw()).decode("ascii")
 
 
 def _unpack_pool(comp: dict) -> np.ndarray:
@@ -180,34 +188,14 @@ def _decode_node(v: Any, pool: np.ndarray) -> Any:
             return _slice(pool, arg[0], arg[1], "@lv").tolist()
         if key == "@t":
             return tuple(_decode_node(x, pool) for x in arg)
-        return _decode_side(arg, pool)[0]            # "@pp"
+        return _decode_side(arg, pool)               # "@pp"
     if isinstance(v, list):
         return [_decode_node(x, pool) for x in v]
     return v
 
 
 # ---------------------------------------------------------------------------
-# piecewise sides: dedup + index indirection + frozen padded columns
-
-
-def _dedup_polys(polys) -> tuple[list, list[int]]:
-    """Unique ``(exps, coeffs)`` rows and the slot→unique index map.
-
-    Identity is *bit* identity: two rows merge only when their exponent
-    tuples match and every coefficient has the same 64-bit pattern
-    (``struct.pack`` keys, so ``0.0`` and ``-0.0`` stay distinct).
-    """
-    uniq: list = []
-    index: list[int] = []
-    seen: dict = {}
-    for exps, coeffs in polys:
-        key = (tuple(exps), struct.pack(f"<{len(coeffs)}d", *coeffs))
-        j = seen.get(key)
-        if j is None:
-            j = seen[key] = len(uniq)
-            uniq.append((tuple(exps), tuple(coeffs)))
-        index.append(j)
-    return uniq, index
+# piecewise sides: dedup + index indirection + padded columns
 
 
 def _well_formed_side(pp: Any) -> bool:
@@ -235,24 +223,17 @@ def _well_formed_side(pp: Any) -> bool:
 def _pack_side(pp: dict, pool: _PoolBuilder) -> dict:
     """The ``@pp`` payload for one well-formed legacy side dict."""
     bits, shift = pp["index_bits"], pp["shift"]
-    uniq, index = _dedup_polys(pp["polys"])
+    uniq, index = unique_rows(pp["polys"])
     side: dict[str, Any] = {"index_bits": bits, "shift": shift}
 
-    # packed (gathered) mode needs the padded evaluation to be provably
-    # bit-identical to the per-polynomial scalar path — the exact
-    # conditions of repro.batch.kernels.padded_tables (shared monomial
-    # prefix, and no padded row whose own top coefficient is a zero,
-    # where 0.0*u + c could flip a zero's sign); test_compact.py holds
-    # the two decision procedures in agreement
-    ref_exps = max((e for e, _ in uniq), key=len)
-    struct_ = horner_structure(ref_exps)
-    sound = bits > 0 and struct_ is not None and all(
-        e == ref_exps[:len(e)]
-        and (len(e) == len(ref_exps)
-             or c[-1] != 0.0)  # fplint: disable=FP101 — exact-zero test
-        for e, c in uniq)
-    if sound:
-        start, stride = struct_
+    # packed mode stores the zero-padded columns, so it is only sound
+    # where the batch lowering would accept the rows too
+    try:
+        shape = padding_shape(uniq) if bits > 0 else None
+    except ValueError:
+        shape = None
+    if shape is not None:
+        ref_exps, start, stride = shape
         nterms, nuniq = len(ref_exps), len(uniq)
         grid = [0.0] * (nterms * nuniq)
         for i, (_, coeffs) in enumerate(uniq):
@@ -302,15 +283,13 @@ def _side_index(side: dict, nuniq: int, what: str) -> Optional[np.ndarray]:
     return idx
 
 
-def _decode_side(side: Any, pool: np.ndarray) \
-        -> tuple[dict, Optional[FrozenGather]]:
-    """(legacy side dict, frozen gathered tables or None)."""
+def _decode_side(side: Any, pool: np.ndarray) -> dict:
+    """The legacy side dict of one ``@pp`` payload."""
     if not isinstance(side, dict) or "mode" not in side:
         raise CompactError(f"malformed @pp payload {side!r}")
     bits, shift = side.get("index_bits"), side.get("shift")
     if type(bits) is not int or type(shift) is not int:
         raise CompactError("@pp payload missing index_bits/shift ints")
-    frozen = None
     if side["mode"] == "packed":
         exps = tuple(side["exps"])
         lens = side["lens"]
@@ -327,8 +306,6 @@ def _decode_side(side: Any, pool: np.ndarray) \
                                    f"[1, {nterms}]")
             uniq.append((exps[:n], tuple(cols[:n, i].tolist())))
         idx = _side_index(side, nuniq, "@pp packed")
-        start, stride = side["start"], side["stride"]
-        frozen = FrozenGather(shift, bits, start, stride, cols, idx)
     elif side["mode"] == "raw":
         uniq = [(tuple(e), tuple(_slice(pool, off, n, "@pp raw").tolist()))
                 for e, off, n in side["polys"]]
@@ -340,7 +317,7 @@ def _decode_side(side: Any, pool: np.ndarray) \
     if len(polys) != 1 << bits:
         raise CompactError(f"@pp expands to {len(polys)} slots for "
                            f"2**{bits} sub-domains")
-    return {"index_bits": bits, "shift": shift, "polys": polys}, frozen
+    return {"index_bits": bits, "shift": shift, "polys": polys}
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +364,7 @@ def encode(data: dict) -> dict:
 
 
 class DecodedModule(NamedTuple):
-    """One decoded compact module, with its evaluation-ready views."""
+    """One decoded compact module, with its range-reduction views."""
 
     #: the exact legacy DATA dict
     data: dict
@@ -395,12 +372,10 @@ class DecodedModule(NamedTuple):
     pool: np.ndarray
     #: rr_state attr → (offset, n) for every float-vector table
     rr_vectors: dict[str, tuple[int, int]]
-    #: (fn_name, side) → frozen gathered-Horner tables (packed sides)
-    frozen: dict[tuple[str, str], FrozenGather]
 
 
 def decode_module(comp: dict) -> DecodedModule:
-    """Decode a compact blob into the legacy dict plus frozen views."""
+    """Decode a compact blob into the legacy dict plus pool views."""
     if not isinstance(comp, dict):
         raise CompactError(f"COMPACT is {type(comp).__name__}, not dict")
     if comp.get("version") != COMPACT_VERSION:
@@ -415,28 +390,7 @@ def decode_module(comp: dict) -> DecodedModule:
     if not isinstance(skel, dict):
         raise CompactError("COMPACT['data'] must be a dict skeleton")
 
-    frozen: dict[tuple[str, str], FrozenGather] = {}
-    data: dict[str, Any] = {}
-    for key, value in skel.items():
-        if key == "approx" and isinstance(value, dict):
-            approx: dict[str, Any] = {}
-            for name, sides in value.items():
-                if isinstance(sides, dict) and set(sides) == {"neg", "pos"}:
-                    decoded_sides = {}
-                    for side, node in sides.items():
-                        if isinstance(node, dict) and set(node) == {"@pp"}:
-                            pp, fz = _decode_side(node["@pp"], pool)
-                            if fz is not None:
-                                frozen[(name, side)] = fz
-                            decoded_sides[side] = pp
-                        else:
-                            decoded_sides[side] = _decode_node(node, pool)
-                    approx[name] = decoded_sides
-                else:
-                    approx[name] = _decode_node(sides, pool)
-            data[key] = approx
-        else:
-            data[key] = _decode_node(value, pool)
+    data = {key: _decode_node(value, pool) for key, value in skel.items()}
 
     rr_vectors: dict[str, tuple[int, int]] = {}
     rr_skel = skel.get("rr_state")
@@ -445,7 +399,7 @@ def decode_module(comp: dict) -> DecodedModule:
             if isinstance(node, dict) and set(node) == {"@fv"}:
                 off, n = node["@fv"]
                 rr_vectors[attr] = (off, n)
-    return DecodedModule(data, pool, rr_vectors, frozen)
+    return DecodedModule(data, pool, rr_vectors)
 
 
 def decode(comp: dict) -> dict:
@@ -457,17 +411,11 @@ def function_from_compact(comp: dict):
     """Rebuild a runnable GeneratedFunction straight from a compact blob.
 
     Beyond :func:`repro.libm.serialize.function_from_dict` on the
-    decoded dict, this primes the evaluation-side caches with zero-copy
-    views into the pool:
-
-    * every float-vector range-reduction table is
-      :func:`~repro.batch.reduce.prime`\\ d, so ``compensate_batch``
-      never re-converts the Python tuples;
-    * every packed piecewise side carries its
-      :class:`~repro.batch.reduce.FrozenGather` in
-      ``PiecewisePolynomial.__dict__['_frozen']``, so
-      :func:`repro.batch.kernels.compile_piecewise` skips re-padding
-      and gathers through the deduplicated column pool.
+    decoded dict, this :func:`~repro.batch.reduce.prime`\\ s every
+    float-vector range-reduction table with a zero-copy view into the
+    pool, so ``compensate_batch`` never re-converts the Python tuples.
+    The batch kernels are lowered from the decoded polynomials
+    (:func:`repro.batch.kernels.lower`).
     """
     from repro.batch.reduce import prime
     from repro.libm.serialize import function_from_dict
@@ -479,12 +427,6 @@ def function_from_compact(comp: dict):
         v = getattr(rr, attr, None)
         if isinstance(v, tuple) and len(v) == n:
             prime(rr, attr, dec.pool[off:off + n])
-    for (name, side), fz in dec.frozen.items():
-        af = fn.approx.get(name)
-        pp = getattr(af, side, None) if af is not None else None
-        if pp is not None and pp.index_bits == fz.index_bits \
-                and pp.shift == fz.shift:
-            pp.__dict__["_frozen"] = fz
     return fn
 
 

@@ -18,7 +18,6 @@ from __future__ import annotations
 import pathlib
 import random
 import time
-import warnings
 from dataclasses import dataclass
 
 from repro.core.generator import FunctionSpec, GeneratedFunction
@@ -204,7 +203,6 @@ def generate_library(
     workers: int | str | None = None,
     checkpoint: pathlib.Path | str | None = None,
     settings: GenSettings | None = None,
-    checkpoint_dir: pathlib.Path | str | None = None,
     extra_inputs: dict[str, list[float]] | None = None,
 ) -> None:
     """Generate and freeze a set of functions into ``out_dir``.
@@ -216,19 +214,13 @@ def generate_library(
     ``checkpoint`` makes the run resumable: every finished function
     is saved as an atomic JSON shard, a restarted run regenerates only
     the missing ones, and a manifest pins target/seed/budgets so stale
-    checkpoints cannot leak into a differently configured run
-    (``checkpoint_dir`` is the deprecated spelling of the same
-    parameter).  ``settings`` overrides :data:`GEN_SETTINGS` for every
+    checkpoints cannot leak into a differently configured run.
+    ``settings`` overrides :data:`GEN_SETTINGS` for every
     function (small budgets for tests and sweeps).  ``extra_inputs``
     maps function names to additional generation inputs (see
     :func:`generate_one`) — typically the inputs of the shipped
     adversarial corpora (``tools/generate_float32.py --adversarial``).
     """
-    if checkpoint_dir is not None:
-        warnings.warn("checkpoint_dir= is deprecated; use checkpoint=",
-                      DeprecationWarning, stacklevel=2)
-        if checkpoint is None:
-            checkpoint = checkpoint_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     init = out_dir / "__init__.py"
     if not init.exists():

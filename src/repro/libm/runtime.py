@@ -12,15 +12,13 @@ from __future__ import annotations
 
 import importlib
 import sys
-import warnings
 
 from repro.core.generator import GeneratedFunction
 from repro.libm.serialize import function_from_dict
 from repro.obs import metrics
 
-__all__ = ["load", "load_function", "reload", "reload_function", "available",
-           "clear_cache", "instrument", "FLOAT32_FUNCTIONS",
-           "POSIT32_FUNCTIONS"]
+__all__ = ["load_function", "reload_function", "available", "clear_cache",
+           "instrument", "FLOAT32_FUNCTIONS", "POSIT32_FUNCTIONS"]
 
 #: The ten float32 functions of the paper's prototype.
 FLOAT32_FUNCTIONS = ("ln", "log2", "log10", "exp", "exp2", "exp10",
@@ -53,8 +51,8 @@ def clear_cache() -> None:
     The next :func:`load_function` re-reads the frozen data modules —
     needed after regenerating tables in-place (``python -m repro
     generate``) or when tests monkeypatch a data module.  Note that
-    re-reading also requires the *module* to be fresh; :func:`reload`
-    bundles the ``sys.modules`` purge with the cache drop for one
+    re-reading also requires the *module* to be fresh;
+    :func:`reload_function` bundles the ``sys.modules`` purge with the cache drop for one
     function.
     """
     _cache.clear()
@@ -75,20 +73,6 @@ def reload_function(fn_name: str, target: str = "float32") \
     sys.modules.pop(_module_name(target, fn_name), None)
     _cache.pop((fn_name, target), None)
     return load_function(fn_name, target)
-
-
-def reload(fn_name: str, target: str = "float32") -> GeneratedFunction:
-    """Deprecated alias of :func:`reload_function`.
-
-    New code should use :func:`repro.api.reload` (the public facade) or
-    :func:`reload_function` (the low-level loader) — the same split
-    :func:`load` / :func:`load_function` already has.
-    """
-    warnings.warn(
-        "repro.libm.runtime.reload is deprecated; use repro.api.reload "
-        "(facade) or repro.libm.runtime.reload_function (low-level)",
-        DeprecationWarning, stacklevel=2)
-    return reload_function(fn_name, target)
 
 
 def _import_data(target: str, fn_name: str):
@@ -148,8 +132,8 @@ def load_function(fn_name: str, target: str = "float32",
         comp = getattr(mod, "COMPACT", None)
         if comp is not None:
             # compact frozen layout: decode the pool directly and keep
-            # its zero-copy views (frozen gathered columns, primed rr
-            # tables) — never materialize the legacy literal dict here
+            # its zero-copy rr-table views — never materialize the
+            # legacy literal dict here
             from repro.libm.compact import function_from_compact
 
             fn = function_from_compact(comp)
@@ -159,20 +143,6 @@ def load_function(fn_name: str, target: str = "float32",
     if instrumented:
         return instrument(fn)
     return fn
-
-
-def load(fn_name: str, target: str = "float32",
-         instrumented: bool = False) -> GeneratedFunction:
-    """Deprecated alias of :func:`load_function`.
-
-    New code should use :func:`repro.api.load` (the public facade) or
-    :func:`load_function` (the low-level loader).
-    """
-    warnings.warn(
-        "repro.libm.runtime.load is deprecated; use repro.api.load "
-        "(facade) or repro.libm.runtime.load_function (low-level)",
-        DeprecationWarning, stacklevel=2)
-    return load_function(fn_name, target, instrumented)
 
 
 def instrument(fn: GeneratedFunction,

@@ -9,7 +9,7 @@ gathered-Horner kernels read the coefficient columns *in place* —
 zero-copy, read-only views straight into the arena.  A worker never
 imports ``repro.libm.data_*``.
 
-Arena layout (format version 2)::
+Arena layout (format version 3)::
 
     [0:8)    magic  b"RLSARENA"
     [8:12)   format version (uint32 LE)
@@ -17,28 +17,27 @@ Arena layout (format version 2)::
     [20:20+M) pickled manifest (built by this module, never from the wire)
     [...]    8-byte-aligned float64 coefficient arena
 
-The float64 arena is **content-addressed**: every block (padded
+The float64 arena is **content-addressed**: every block (lowered
 coefficient columns, range-reduction tables) is deduplicated by its
-bytes at publish time, so e.g. ``sinh`` and ``cosh`` — which share
-their compensation tables — store them once, across modules.  The
-manifest maps ``"fn:target"`` keys to everything a worker needs
-*except* the doubles:
+bytes at publish time — through the compact codec's pool builder, the
+one the frozen data modules are written with — so e.g. ``sinh`` and
+``cosh``, which share their compensation tables, store them once,
+across modules.  The manifest maps ``"fn:target"`` keys to everything a
+worker needs *except* the doubles:
 
 * the range reduction's kind + frozen state, with every float-vector
   table lifted out of the pickled state into the arena
-  (``rr_vecs``: attr → (byte offset, length)); the attach rebuilds the
-  tuples and *primes* the batch table cache
+  (``rr_vecs``: attr → (offset in doubles, length)); the attach
+  rebuilds the tuples and *primes* the batch table cache
   (:func:`repro.batch.reduce.prime`) with the zero-copy arena views,
   so the hot path never re-converts them;
-* per elementary function either one ``mode="merged"`` descriptor
-  (both signs folded into a single deduplicated gathered table, see
-  :func:`repro.batch.kernels.merged_sign_tables`), or a descriptor per
-  sign — ``mode="gathered"`` (shift/index_bits/Horner structure, the
-  arena offset of the *unique*-column block, and the slot→unique index
-  indirection as little-endian u32 bytes) or ``mode="inline"`` (the
-  raw piecewise dict, for the rare table the padded gathered form
-  cannot represent bit-identically; see
-  :func:`repro.batch.kernels.padded_tables`).
+* per elementary function one :class:`~repro.batch.kernels.Lowered`
+  descriptor: its fields, with ``cols`` replaced by
+  ``(offset, nterms, nuniq)`` into the arena and ``index`` stored as
+  little-endian u32 bytes.  The attach rebuilds the ``Lowered`` around
+  a read-only arena view and calls
+  :func:`~repro.batch.kernels.build_kernel` — the same builder the
+  in-process batch engine uses.
 
 Trust boundary (see DESIGN.md): the arena is *versioned against table
 content* — the manifest records a SHA-256 over the descriptors and the
@@ -54,22 +53,19 @@ import hashlib
 import pickle
 import secrets
 from multiprocessing import resource_tracker, shared_memory
-from typing import Any, Optional, Sequence
+from typing import Any, Sequence
 
 import numpy as np
 
 from repro.batch.engine import BatchFunction
-from repro.batch.kernels import (frozen_from_polys, gathered_kernel,
-                                 merged_kernel, merged_sign_tables)
-from repro.batch.reduce import FrozenGather
+from repro.batch.kernels import Lowered, build_kernel, lower
 from repro.batch.rounding import decode_kernel
-from repro.core.piecewise import PiecewisePolynomial
-from repro.core.polynomials import Polynomial
+from repro.libm.compact import _PoolBuilder
 
 __all__ = ["ARENA_VERSION", "ArenaError", "AttachedArena", "PublishedArena",
            "arena_key", "attach", "build_manifest", "publish"]
 
-ARENA_VERSION = 2
+ARENA_VERSION = 3
 _MAGIC = b"RLSARENA"
 _HEAD = len(_MAGIC) + 4 + 8  # magic + version + manifest length
 
@@ -95,63 +91,6 @@ def _align8(n: int) -> int:
     return (n + 7) & ~7
 
 
-class _BlockPool:
-    """Content-addressed float64 block store (dedup by exact bytes)."""
-
-    def __init__(self) -> None:
-        self._chunks: list[bytes] = []
-        self._offsets: dict[bytes, int] = {}
-        self.nbytes = 0
-
-    def add(self, arr: np.ndarray) -> int:
-        """Byte offset of this block in the arena, storing it once."""
-        raw = np.ascontiguousarray(arr, dtype=np.float64).tobytes()
-        off = self._offsets.get(raw)
-        if off is None:
-            off = self.nbytes
-            self._offsets[raw] = off
-            self._chunks.append(raw)
-            self.nbytes += len(raw)
-        return off
-
-    def tobytes(self) -> bytes:
-        return b"".join(self._chunks)
-
-
-def _index_bytes(index: Optional[np.ndarray]):
-    if index is None:
-        return None
-    return index.astype("<u4").tobytes()
-
-
-def _side_descriptor(pp: PiecewisePolynomial | None, pool: _BlockPool):
-    """Descriptor for one sign's piecewise table; pools its columns.
-
-    Gathered mode stores the deduplicated padded column matrix
-    (``nterms`` x ``nuniq`` float64, row-major) in the arena plus the
-    slot→unique indirection in the manifest; inline mode embeds the
-    polynomial literals directly (tiny: single-polynomial sides and the
-    rare table where padding is unsound).
-    """
-    if pp is None:
-        return None
-    fz = pp.__dict__.get("_frozen")
-    if not (isinstance(fz, FrozenGather) and fz.index_bits == pp.index_bits
-            and fz.shift == pp.shift):
-        fz = frozen_from_polys(pp)
-    if fz is None:
-        return {"mode": "inline",
-                "index_bits": pp.index_bits, "shift": pp.shift,
-                "polys": [(tuple(p.exponents), tuple(p.coefficients))
-                          for p in pp.polys]}
-    return {"mode": "gathered",
-            "shift": fz.shift, "index_bits": fz.index_bits,
-            "start": fz.start, "stride": fz.stride,
-            "nterms": fz.cols.shape[0], "nuniq": fz.cols.shape[1],
-            "offset": pool.add(fz.cols),
-            "index": _index_bytes(fz.index)}
-
-
 def build_manifest(pairs: Sequence[tuple[str, str]]):
     """Load each (function, target) pair and freeze its serving tables.
 
@@ -162,42 +101,32 @@ def build_manifest(pairs: Sequence[tuple[str, str]]):
     from repro.libm.runtime import load_function
     from repro.libm.serialize import _RR_KIND, _rr_state
 
-    pool = _BlockPool()
+    pool = _PoolBuilder()
     entries: dict[str, Any] = {}
     for function, target in pairs:
         fn = load_function(function, target)
         rr = fn.spec.rr
         fns = []
         for name in rr.fn_names:
-            af = fn.approx[name]
-            merged = merged_sign_tables(af)
-            if merged is not None:
-                smin, w, start, stride, grid, index = merged
-                fns.append({"name": name, "merged": {
-                    "mode": "merged", "smin": smin, "w": w,
-                    "start": start, "stride": stride,
-                    "nterms": grid.shape[0], "nuniq": grid.shape[1],
-                    "offset": pool.add(grid),
-                    "index": _index_bytes(index)}})
-            else:
-                fns.append({"name": name,
-                            "neg": _side_descriptor(af.neg, pool),
-                            "pos": _side_descriptor(af.pos, pool)})
+            lw = lower(fn.approx[name])
+            fns.append(lw._replace(
+                cols=(pool.add_array(lw.cols),) + lw.cols.shape,
+                index=None if lw.index is None
+                else lw.index.astype("<u4").tobytes())._asdict())
         state = _rr_state(rr)
         rr_vecs: dict[str, tuple[int, int]] = {}
         for attr in sorted(state):
             v = state[attr]
             if isinstance(v, tuple) and len(v) >= _VEC_MIN \
                     and all(type(x) is float for x in v):
-                rr_vecs[attr] = (pool.add(np.array(v, dtype=np.float64)),
-                                 len(v))
+                rr_vecs[attr] = (pool.add_vector(v), len(v))
                 del state[attr]
         entries[arena_key(function, target)] = {
             "function": function, "target": target,
             "rr_kind": _RR_KIND[type(rr)], "rr_state": state,
             "rr_vecs": rr_vecs, "fns": fns,
         }
-    arena = pool.tobytes()
+    arena = pool.raw()
     manifest = {"version": ARENA_VERSION, "entries": entries,
                 "arena_nbytes": len(arena)}
     manifest["content_hash"] = _content_hash(manifest, arena)
@@ -282,34 +211,14 @@ class AttachedArena:
         """The ``"fn:target"`` keys this arena serves."""
         return sorted(self.manifest["entries"])
 
-    def _block(self, desc: dict) -> np.ndarray:
-        """Read-only (nterms, nuniq) column view of one pooled block."""
-        n = desc["nterms"] * desc["nuniq"]
-        start = desc["offset"] // 8
-        return self._arena[start:start + n].reshape(
-            desc["nterms"], desc["nuniq"])
-
-    @staticmethod
-    def _index(desc: dict) -> Optional[np.ndarray]:
-        raw = desc.get("index")
-        if raw is None:
-            return None
-        return np.frombuffer(raw, dtype="<u4").astype(np.intp)
-
-    def _side_kernel(self, desc: dict | None):
-        if desc is None:
-            return None
-        if desc["mode"] == "gathered":
-            block = self._block(desc)
-            return gathered_kernel(desc["shift"], desc["index_bits"],
-                                   desc["start"], desc["stride"],
-                                   list(block), self._index(desc))
-        from repro.batch.kernels import compile_piecewise
-
-        polys = tuple(Polynomial(tuple(e), tuple(c))
-                      for e, c in desc["polys"])
-        return compile_piecewise(PiecewisePolynomial(
-            desc["index_bits"], desc["shift"], polys))
+    def _kernel(self, desc: dict):
+        """The Horner kernel of one lowered descriptor, over arena views."""
+        off, nterms, nuniq = desc["cols"]
+        cols = self._arena[off:off + nterms * nuniq].reshape(nterms, nuniq)
+        raw = desc["index"]
+        index = None if raw is None else \
+            np.frombuffer(raw, dtype="<u4").astype(np.intp)
+        return build_kernel(Lowered(**dict(desc, cols=cols, index=index)))
 
     def batch_function(self, key: str) -> BatchFunction:
         """The memoized batch pipeline for ``"fn:target"``."""
@@ -325,24 +234,14 @@ class AttachedArena:
         target = TARGETS_BY_NAME[entry["target"]]
         state = dict(entry["rr_state"])
         primed: list[tuple[str, np.ndarray]] = []
-        for attr, (off, n) in entry.get("rr_vecs", {}).items():
-            view = self._arena[off // 8:off // 8 + n]
+        for attr, (off, n) in entry["rr_vecs"].items():
+            view = self._arena[off:off + n]
             state[attr] = tuple(view.tolist())
             primed.append((attr, view))
         rr = _rr_from_state(entry["rr_kind"], state, target)
         for attr, view in primed:
             prime(rr, attr, view)
-        kernels = []
-        for fd in entry["fns"]:
-            if "merged" in fd:
-                desc = fd["merged"]
-                kernels.append(merged_kernel(
-                    desc["smin"], desc["w"], desc["start"], desc["stride"],
-                    self._block(desc), self._index(desc)))
-            else:
-                neg = self._side_kernel(fd["neg"])
-                pos = self._side_kernel(fd["pos"])
-                kernels.append(_sign_dispatch(neg, pos))
+        kernels = [self._kernel(desc) for desc in entry["fns"]]
         bf = BatchFunction.from_parts(rr, kernels, target)
         self._funcs[key] = bf
         return bf
@@ -378,26 +277,6 @@ class AttachedArena:
             # Pinning the handle also keeps SharedMemory.__del__ from
             # re-raising the same BufferError as an unraisable warning.
             _PINNED_MAPPINGS.append(shm)
-
-
-def _sign_dispatch(neg, pos):
-    """Mirror :func:`repro.batch.kernels.compile_approx`'s sign split."""
-    if neg is None:
-        return pos
-    if pos is None:
-        return neg
-
-    def kernel(r: np.ndarray) -> np.ndarray:
-        out = np.empty_like(r)
-        m = r < 0.0
-        if m.any():
-            out[m] = neg(r[m])
-        m = ~m
-        if m.any():
-            out[m] = pos(r[m])
-        return out
-
-    return kernel
 
 
 def attach(name: str, expect_hash: str | None = None, *,

@@ -4,7 +4,7 @@ The facade is the one import user code needs (README "Public API"):
 ``api.load`` returns a :class:`repro.api.Library` exposing the scalar
 and batch evaluators, ``api.functions``/``api.targets`` enumerate what
 is shipped, ``Library.instrumented()`` opts into runtime metrics.  The
-legacy entry points stay alive behind deprecation warnings.
+low-level loader ``runtime.load_function`` stays warning-free.
 """
 
 from __future__ import annotations
@@ -73,25 +73,10 @@ class TestFacade:
 
 
 class TestDeprecatedEntryPoints:
-    def test_runtime_load_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="repro.api.load"):
-            fn = runtime.load("exp", "float32")
-        assert fn is runtime.load_function("exp", "float32")
-
     def test_load_function_does_not_warn(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             runtime.load_function("exp", "float32")
-
-    def test_checkpoint_dir_alias_warns(self, tmp_path):
-        from repro.fp.formats import FLOAT8
-        from repro.libm.genlib import generate_library
-
-        with pytest.warns(DeprecationWarning, match="checkpoint="):
-            generate_library(["exp"], FLOAT8, tmp_path / "out",
-                             quick=True, log=lambda *a: None,
-                             checkpoint_dir=tmp_path / "ck")
-        assert (tmp_path / "out" / "exp.py").exists()
 
 
 class TestReload:

@@ -7,7 +7,7 @@ serving-time surface (``load``/``reload``/``functions``/``targets``/
 generation-time surface in ``repro.api.generate``.  These tests freeze
 that shape: every re-export resolves, the lazy attributes stay lazy
 (an ``api.load`` user never pays for asyncio/shared-memory imports or
-the oracle), and the legacy entry points keep warning.
+the oracle), and the facade loads without warnings.
 """
 
 from __future__ import annotations
@@ -64,19 +64,6 @@ class TestPackageShape:
 
 
 class TestLegacyEntryPoints:
-    def test_runtime_reload_alias_warns(self):
-        from repro.libm import runtime
-
-        with pytest.warns(DeprecationWarning, match="repro.api.reload"):
-            fn = runtime.reload("exp", "float32")
-        assert fn.evaluate(0.0) == 1.0
-
-    def test_runtime_load_alias_warns(self):
-        from repro.libm import runtime
-
-        with pytest.warns(DeprecationWarning, match="repro.api.load"):
-            runtime.load("exp", "float32")
-
     def test_facade_load_does_not_warn(self):
         import warnings
 

@@ -4,8 +4,9 @@ The compact codec carries every double as its 64-bit pattern, so its
 one hard contract is *bit identity*: ``decode(encode(data))`` must
 reproduce the legacy ``DATA`` dict exactly, a compact-loaded function
 must agree with the dict-loaded one on every output bit, and the
-evaluation-side views it primes (frozen gathered columns, rr tables)
-must never change a result — only where it is computed from.
+rr-table views it primes must never change a result — only where it is
+computed from.  The batch lowering shares the freezer's padding
+predicate, so the kernel tests live here too.
 """
 
 import base64
@@ -18,7 +19,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.batch.reduce import FrozenGather
 from repro.libm import compact
 from repro.libm.compact import (CompactError, decode, decode_module, encode,
                                 function_from_compact, render_compact)
@@ -164,38 +164,45 @@ class TestSidePacking:
 
     def test_zero_top_coefficient_forces_raw(self):
         # a shorter row ending in 0.0 is exactly the case padding may
-        # not fold (0.0*u + c flips a signed zero); the codec must make
-        # the same call as repro.batch.kernels.padded_tables
-        from repro.batch.kernels import padded_tables
+        # not fold (0.0*u + c flips a signed zero); the codec stores it
+        # raw and the batch lowering refuses it
+        from repro.batch.kernels import compile_approx
+        from repro.core.piecewise import ApproxFunc
         from repro.libm.serialize import _piecewise_from_dict
 
         side = self._side([((0, 1, 2), (1.0, 2.0, 3.0)),
                            ((0, 1), (4.0, 0.0))])
         comp, node = self._encode_side(side)
         assert node["@pp"]["mode"] == "raw"
-        assert padded_tables(_piecewise_from_dict(side).polys) is None
         assert _deep_equal(decode(comp)["approx"]["f"]["pos"], side)
+        af = ApproxFunc("f", None, _piecewise_from_dict(side))
+        with pytest.raises(ValueError, match="'f'.*zero coefficient"):
+            compile_approx(af)
 
-    def test_packed_decision_agrees_with_padded_tables(self):
-        # the two independent decision procedures must agree on every
-        # shipped side: packed <=> padded_tables succeeds
-        from repro.batch.kernels import padded_tables
+    def test_non_prefix_rows_are_refused(self):
+        from repro.batch.kernels import lower
+        from repro.core.piecewise import ApproxFunc
         from repro.libm.serialize import _piecewise_from_dict
 
+        side = self._side([((0, 1, 2), (1.0, 2.0, 3.0)),
+                           ((0, 2), (4.0, 5.0))])
+        comp, node = self._encode_side(side)
+        assert node["@pp"]["mode"] == "raw"
+        af = ApproxFunc("g", None, _piecewise_from_dict(side))
+        with pytest.raises(ValueError, match="'g'.*prefix"):
+            lower(af)
+
+    def test_every_shipped_approximation_lowers(self):
+        from repro.batch.kernels import lower
+
         for target, name in SHIPPED:
-            mod = _shipped_module(target, name)
-            comp = mod.COMPACT
-            for fn_name, sides in comp["data"]["approx"].items():
-                for side_name, node in sides.items():
-                    if not (isinstance(node, dict) and "@pp" in node):
-                        continue
-                    legacy = decode(comp)["approx"][fn_name][side_name]
-                    pp = _piecewise_from_dict(legacy)
-                    packed = node["@pp"]["mode"] == "packed"
-                    padded = (pp.index_bits > 0
-                              and padded_tables(pp.polys) is not None)
-                    assert packed == padded, (target, name, fn_name,
-                                              side_name)
+            fn = function_from_compact(_shipped_module(target, name).COMPACT)
+            for fn_name in fn.spec.rr.fn_names:
+                af = fn.approx[fn_name]
+                lw = lower(af)
+                assert lw.cols.shape[0] == af.max_terms
+                assert lw.fold == (af.neg is not None
+                                   and af.pos is not None)
 
     def test_dedup_is_bit_exact(self):
         # 0.0 and -0.0 coefficients must NOT merge
@@ -216,15 +223,25 @@ class TestSidePacking:
         assert "index" in pp or "index_b64" in pp
         assert _deep_equal(decode(comp)["approx"]["f"]["pos"], side)
 
-    def test_frozen_gather_attached_for_packed_sides(self):
+    def test_packed_columns_are_the_lowered_columns(self):
+        # the freezer's padded matrix and the lowering's agree double
+        # for double on a one-sided table
+        from repro.batch.kernels import lower
+        from repro.core.piecewise import ApproxFunc
+        from repro.libm.serialize import _piecewise_from_dict
+
         side = self._side([((0, 1, 2), (1.0, 2.0, 3.0)),
-                           ((0, 1, 2), (4.0, 5.0, 6.0))])
-        comp, _node = self._encode_side(side)
-        dec = decode_module(comp)
-        fz = dec.frozen[("f", "pos")]
-        assert isinstance(fz, FrozenGather)
-        assert fz.cols.shape == (3, 2)
-        assert fz.cols.base is not None  # zero-copy view into the pool
+                           ((0, 1), (4.0, 5.0)),
+                           ((0, 1, 2), (1.0, 2.0, 3.0)),
+                           ((0, 1, 2), (6.0, 7.0, 8.0))])
+        comp, node = self._encode_side(side)
+        off, nterms, nuniq = node["@pp"]["cols"]
+        packed = decode_module(comp).pool[off:off + nterms * nuniq]
+        legacy = decode(comp)["approx"]["f"]["pos"]
+        lw = lower(ApproxFunc("f", None, _piecewise_from_dict(legacy)))
+        assert lw.cols.shape == (nterms, nuniq) == (3, 3)
+        assert lw.cols.tobytes() == packed.tobytes()
+        assert lw.index.tolist() == [0, 1, 0, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -297,13 +314,6 @@ class TestShippedModules:
             arr = table(rr, attr)
             assert not arr.flags.writeable  # primed view, not a copy
             assert np.array_equal(arr, dec.pool[off:off + n])
-        assert dec.frozen  # sinh carries packed sides
-        for (fn_name, side_name), fz in dec.frozen.items():
-            af = fn.approx[fn_name]
-            pp = af.neg if side_name == "neg" else af.pos
-            got = pp.__dict__["_frozen"]
-            assert isinstance(got, FrozenGather)
-            assert got.cols.tobytes() == fz.cols.tobytes()
 
     @pytest.mark.parametrize("target,name", SHIPPED)
     def test_certificates_still_verify(self, target, name):
@@ -368,64 +378,73 @@ class TestTC210:
 
 
 # ---------------------------------------------------------------------------
-# kernel equivalence: specialized / merged vs generic
+# kernel equivalence: the one batch route vs the scalar closure
+
+
+def _slot_lanes(rng, af, per_slot=8):
+    """Reduced inputs hitting every slot of both sides, plus hazards.
+
+    Each lane starts from a value of the side's sign and has that
+    side's own index field overwritten with the slot number, so the
+    scalar closure selects every sub-domain polynomial at least
+    ``per_slot`` times; ±0.0 and NaN ride along.
+    """
+    parts = [rng.uniform(-2.0, 2.0, 256),
+             np.array([0.0, -0.0, np.nan, -np.nan, 1.0, -1.0])]
+    for sign, pp in ((1.0, af.pos), (-1.0, af.neg)):
+        if pp is None:
+            continue
+        nslots = 1 << pp.index_bits
+        base = sign * rng.uniform(1e-3, 2.0, nslots * per_slot)
+        bits = base.view(np.uint64)
+        field = np.uint64(nslots - 1) << np.uint64(pp.shift)
+        slots = np.repeat(np.arange(nslots, dtype=np.uint64), per_slot)
+        bits[:] = (bits & ~field) | (slots << np.uint64(pp.shift))
+        parts.append(base)
+    return np.concatenate(parts)
+
+
+def _assert_matches_scalar(af, r):
+    from repro.batch.kernels import compile_approx
+
+    scalar = af.compiled
+    want = np.array([scalar(float(x)) for x in r], dtype=np.float64)
+    got = compile_approx(af)(r)
+    assert got.tobytes() == want.tobytes(), af.name
 
 
 @pytest.mark.batch
 class TestKernelEquivalence:
-    def _lanes(self, rng, pp):
-        # raw double bit patterns that exercise every sub-domain slot,
-        # plus the sign/zero/NaN hazards
-        r = rng.uniform(-2.0, 2.0, 4096)
-        r[::31] = 0.0
-        r[1::31] = -0.0
-        r[2::311] = np.nan
-        return r
-
-    def test_specialized_matches_generic_on_shipped_sides(self):
-        from repro.batch.kernels import gathered_kernel
-
+    def test_compile_approx_matches_scalar_on_shipped_tables(self):
         rng = np.random.default_rng(11)
         checked = 0
         for target, name in SHIPPED:
-            dec = decode_module(_shipped_module(target, name).COMPACT)
-            for key, fz in dec.frozen.items():
-                r = self._lanes(rng, None)
-                fast = gathered_kernel(fz.shift, fz.index_bits, fz.start,
-                                       fz.stride, list(fz.cols), fz.index,
-                                       specialize=True)
-                slow = gathered_kernel(fz.shift, fz.index_bits, fz.start,
-                                       fz.stride, list(fz.cols), fz.index,
-                                       specialize=False)
-                a, b = fast(r), slow(r)
-                assert a.tobytes() == b.tobytes(), (target, name, key)
-                checked += 1
-        assert checked >= 10
-
-    def test_merged_matches_sign_dispatch_on_shipped_tables(self):
-        from repro.batch.kernels import (compile_piecewise, merged_kernel,
-                                         merged_sign_tables)
-        from repro.libm.runtime import load_function
-
-        rng = np.random.default_rng(13)
-        merged_seen = 0
-        for target, name in [("float32", "sinh"), ("float32", "cosh"),
-                             ("float32", "exp"), ("posit32", "exp2")]:
-            fn = load_function(name, target)
+            fn = function_from_compact(_shipped_module(target, name).COMPACT)
             for fn_name in fn.spec.rr.fn_names:
                 af = fn.approx[fn_name]
-                m = merged_sign_tables(af)
-                if m is None:
-                    continue
-                merged_seen += 1
-                fast = merged_kernel(*m)
-                neg = compile_piecewise(af.neg) if af.neg else None
-                pos = compile_piecewise(af.pos) if af.pos else None
-                r = self._lanes(rng, None)
-                want = np.empty_like(r)
-                mask = r < 0.0  # -0.0 and NaN land on pos, like scalar
-                want[mask] = neg(r[mask])
-                want[~mask] = pos(r[~mask])
-                assert fast(r).tobytes() == want.tobytes(), (target, name,
-                                                             fn_name)
-        assert merged_seen >= 2
+                _assert_matches_scalar(af, _slot_lanes(rng, af))
+                checked += 1
+        assert checked == 24
+
+    def test_wide_two_sided_table_matches_scalar(self):
+        # merged field spans bits 30..44 (14 bits, plus the sign fold):
+        # a 2**15-entry indirection, kept un-expanded in the kernel
+        from repro.batch.kernels import lower
+        from repro.core.piecewise import ApproxFunc, PiecewisePolynomial
+        from repro.core.polynomials import Polynomial
+
+        rng = np.random.default_rng(5)
+
+        def side(bits, shift):
+            polys = []
+            for i in range(1 << bits):
+                n = 3 if i % 3 else 2       # short rows end in nonzero
+                polys.append(Polynomial((1, 3, 5)[:n],
+                                        tuple(rng.uniform(0.5, 1.5, n).tolist())))
+            return PiecewisePolynomial(bits, shift, tuple(polys))
+
+        af = ApproxFunc("wide", side(3, 30), side(4, 40))
+        lw = lower(af)
+        assert (lw.shift, lw.width, lw.fold) == (30, 14, True)
+        assert lw.index is not None and lw.index.size == 1 << 15
+        _assert_matches_scalar(af, _slot_lanes(rng, af))

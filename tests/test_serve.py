@@ -121,16 +121,27 @@ class TestProtocol:
 
 class TestArena:
     def test_publish_attach_bit_identical(self):
-        lib = api.load("exp", target="float32")
-        xs = np.linspace(-40.0, 40.0, 4096)
-        with tables.publish([("exp", "float32")]) as pub:
+        # every shipped pair in one publication: the arena's kernels,
+        # rebuilt from pooled Lowered descriptors, must match the
+        # in-process engine on every lane
+        pairs = [(f, t) for t in ("float32", "posit32")
+                 for f in api.functions(t)]
+        assert len(pairs) == 18
+        rng = np.random.default_rng(9)
+        with tables.publish(pairs) as pub:
             arena = tables.attach(pub.name, expect_hash=pub.content_hash)
             try:
-                bf = arena.batch_function(tables.arena_key("exp", "float32"))
-                assert bf.evaluate_bits_many(xs).tobytes() == \
-                    lib.evaluate_bits_batch(xs).tobytes()
-                assert bf.evaluate_many(xs).tobytes() == \
-                    lib.evaluate_batch(xs).tobytes()
+                for function, target in pairs:
+                    key = tables.arena_key(function, target)
+                    lib = api.load(function, target=target)
+                    bits = rng.integers(0, 1 << 32, 2048, dtype=np.uint64)
+                    xs = np.concatenate([arena.decoder(key)(bits),
+                                         np.linspace(-40.0, 40.0, 2048)])
+                    bf = arena.batch_function(key)
+                    assert bf.evaluate_bits_many(xs).tobytes() == \
+                        lib.evaluate_bits_batch(xs).tobytes(), key
+                    assert bf.evaluate_many(xs).tobytes() == \
+                        lib.evaluate_batch(xs).tobytes(), key
             finally:
                 arena.close()
 
