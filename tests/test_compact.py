@@ -426,6 +426,78 @@ class TestKernelEquivalence:
                 checked += 1
         assert checked == 24
 
+    def test_specialized_matches_generic_on_shipped_sides(self):
+        # build_kernel's straight-line code (composed indirection, scalar
+        # coefficients for one-row tables) against a plain loop over the
+        # Lowered table, read off its documented key/Horner contract
+        from repro.batch.kernels import build_kernel, lower
+        from repro.core.piecewise import ApproxFunc
+
+        def generic(lw, r):
+            key = (r.view(np.uint64) >> np.uint64(lw.shift)) \
+                & np.uint64((1 << lw.width) - 1)
+            key = key.astype(np.intp)
+            if lw.fold:
+                key[r < 0.0] += 1 << lw.width
+            if lw.index is not None:
+                key = lw.index[key]
+            u = r
+            for _ in range(lw.stride - 1):
+                u = u * r
+            acc = lw.cols[-1][key]
+            for t in range(lw.cols.shape[0] - 2, -1, -1):
+                acc = acc * u + lw.cols[t][key]
+            if lw.start:
+                p = r
+                for _ in range(lw.start - 1):
+                    p = p * r
+                acc = acc * p
+            return acc
+
+        rng = np.random.default_rng(11)
+        checked = 0
+        for target, name in SHIPPED:
+            fn = function_from_compact(_shipped_module(target, name).COMPACT)
+            for fn_name in fn.spec.rr.fn_names:
+                full = fn.approx[fn_name]
+                for af in (full, ApproxFunc(fn_name, None, full.pos),
+                           ApproxFunc(fn_name, full.neg, None)):
+                    if af.pos is None and af.neg is None:
+                        continue
+                    lw = lower(af)
+                    r = _slot_lanes(rng, full)
+                    a, b = build_kernel(lw)(r), generic(lw, r)
+                    assert a.tobytes() == b.tobytes(), (target, name, fn_name)
+                    checked += 1
+        assert checked >= 24
+
+    def test_merged_matches_sign_dispatch_on_shipped_tables(self):
+        # the sign-folded kernel of a two-sided table against each side's
+        # own one-sided kernel, dispatched on r < 0.0 like the scalar path
+        from repro.batch.kernels import compile_approx
+        from repro.core.piecewise import ApproxFunc
+
+        rng = np.random.default_rng(13)
+        merged_seen = 0
+        for target, name in SHIPPED:
+            fn = function_from_compact(_shipped_module(target, name).COMPACT)
+            for fn_name in fn.spec.rr.fn_names:
+                af = fn.approx[fn_name]
+                if af.neg is None or af.pos is None:
+                    continue
+                merged_seen += 1
+                neg = compile_approx(ApproxFunc(fn_name, af.neg, None))
+                pos = compile_approx(ApproxFunc(fn_name, None, af.pos))
+                r = _slot_lanes(rng, af)
+                want = np.empty_like(r)
+                mask = r < 0.0  # -0.0 and NaN land on pos, like scalar
+                want[mask] = neg(r[mask])
+                want[~mask] = pos(r[~mask])
+                got = compile_approx(af)(r)
+                assert got.tobytes() == want.tobytes(), (target, name,
+                                                         fn_name)
+        assert merged_seen >= 2
+
     def test_wide_two_sided_table_matches_scalar(self):
         # merged field spans bits 30..44 (14 bits, plus the sign fold):
         # a 2**15-entry indirection, kept un-expanded in the kernel
