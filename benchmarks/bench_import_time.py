@@ -13,7 +13,8 @@ neither ``sys.modules`` nor ``__pycache__`` can flatter a contender:
   :func:`repro.libm.serialize.render_module_legacy` into a tmpdir,
   then parsed + ``function_from_dict`` per pair (the pre-compact boot);
 * *compact* — the shipped sources copied into a sibling tmpdir (same
-  pyc-free footing), then parsed + ``function_from_compact`` per pair;
+  pyc-free footing), then parsed + ``function_from_dict(decode(COMPACT))``
+  per pair (the runtime loader's route);
 * *attach*  — map the published arena and build every batch kernel.
 
 Wall time and RSS delta for each, past the common interpreter+numpy
@@ -58,7 +59,7 @@ def _rss_mb():
 _LOAD_SNIPPET = _RSS_HELPER + """\
 import glob, importlib.util, json, os, time
 import numpy as np  # noqa: F401  — baseline, not measured
-from repro.libm.compact import function_from_compact
+from repro.libm.compact import decode
 from repro.libm.serialize import function_from_dict
 paths = sorted(glob.glob(os.path.join(os.environ["BENCH_TREE"],
                                       "data_*", "*.py")))
@@ -70,8 +71,8 @@ for i, path in enumerate(paths):
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     comp = getattr(mod, "COMPACT", None)
-    fns.append(function_from_compact(comp) if comp is not None
-               else function_from_dict(mod.DATA))
+    fns.append(function_from_dict(decode(comp) if comp is not None
+                                  else mod.DATA))
 print(json.dumps({"time_s": time.perf_counter() - t0,
                   "rss_mb": _rss_mb() - r0, "n": len(fns)}))
 """

@@ -1,7 +1,7 @@
 """The batch evaluation pipeline: arrays in, correctly rounded arrays out.
 
-:class:`BatchFunction` wraps a generated function and runs the full
-runtime pipeline on numpy float64 arrays — special-case masks,
+:class:`BatchFunction` runs the full runtime pipeline of one
+(function, target) pair on numpy float64 arrays — special-case masks,
 vectorized range reduction, shift+mask sub-domain lookup, gathered
 Horner, output compensation, final rounding — with every lane
 performing the exact IEEE double operation sequence of the scalar
@@ -17,12 +17,10 @@ before reducing.
 
 from __future__ import annotations
 
-import os
 from typing import Tuple
 
 import numpy as np
 
-from repro.batch.kernels import compile_approx
 from repro.batch.rounding import bits_kernel, round_kernel
 from repro.obs.profile import phase
 
@@ -34,8 +32,8 @@ __all__ = ["BatchFunction"]
 #: of streaming each pass through DRAM — ~2x wall time on 1M-lane
 #: sweeps.  Per-lane operation sequences are untouched (each lane sees
 #: exactly the ops it would in one full-width pass), so bit-identity is
-#: unaffected.  Override for tuning with REPRO_BATCH_BLOCK.
-_BLOCK = max(4096, int(os.environ.get("REPRO_BATCH_BLOCK", "32768")))
+#: unaffected.
+_BLOCK = 32768
 
 
 def _as_input(xs) -> Tuple[np.ndarray, tuple]:
@@ -56,40 +54,23 @@ def _as_input(xs) -> Tuple[np.ndarray, tuple]:
 
 
 class BatchFunction:
-    """Vectorized twin of a :class:`~repro.core.generator.GeneratedFunction`.
+    """The array pipeline of one (function, target) pair.
 
-    Built lazily by the ``GeneratedFunction.batch`` property; users
-    reach it through ``evaluate_many`` / ``evaluate_bits_many`` or the
-    :mod:`repro.api` facade.
+    ``rr`` is the range reduction, ``kernels`` one reduced-input →
+    value kernel per elementary function in ``rr.fn_names`` order (each
+    built by :func:`~repro.batch.kernels.build_kernel`), ``target`` the
+    output format.  ``GeneratedFunction.batch`` builds one from its
+    frozen approximations; the serving workers
+    (:mod:`repro.serve.tables`) build one from shared-memory views.
+    Users reach it through ``evaluate_many`` / ``evaluate_bits_many``
+    or the :mod:`repro.api` facade.
     """
 
-    def __init__(self, fn):
-        self.fn = fn
-        self.rr = fn.spec.rr
-        self._kernels = [compile_approx(af) for af in fn._funcs]
-        self._round = round_kernel(fn.spec.target)
-        self._bits = bits_kernel(fn.spec.target)
-
-    @classmethod
-    def from_parts(cls, rr, kernels, target) -> "BatchFunction":
-        """Assemble a batch pipeline from prebuilt per-fn kernels.
-
-        The serving workers (:mod:`repro.serve.tables`) rebuild the
-        range reduction from its frozen state and the Horner kernels
-        from shared-memory coefficient views — no
-        :class:`~repro.core.generator.GeneratedFunction` (and no frozen
-        data module import) ever exists in the worker.  ``kernels``
-        must be in ``rr.fn_names`` order, each mapping a reduced-input
-        array to that elementary function's values, exactly like the
-        :func:`~repro.batch.kernels.compile_approx` output.
-        """
-        bf = cls.__new__(cls)
-        bf.fn = None
-        bf.rr = rr
-        bf._kernels = list(kernels)
-        bf._round = round_kernel(target)
-        bf._bits = bits_kernel(target)
-        return bf
+    def __init__(self, rr, kernels, target):
+        self.rr = rr
+        self._kernels = list(kernels)
+        self._round = round_kernel(target)
+        self._bits = bits_kernel(target)
 
     def _compensated(self, xs: np.ndarray) -> np.ndarray:
         """Pipeline output *before* final rounding, per lane.

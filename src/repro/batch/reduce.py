@@ -19,14 +19,7 @@ These helpers centralize the two integer idioms those methods need —
   not live in ``rr.__dict__``: :func:`repro.libm.serialize._rr_state`
   serializes that dict verbatim into the frozen data modules, and a
   numpy array leaking into it would change the frozen representation.
-
-  Functions decoded from a compact frozen module
-  (:mod:`repro.libm.compact`) or rebuilt from a shared-memory arena
-  (:mod:`repro.serve.tables`) :func:`prime` this cache at build time
-  with zero-copy views straight into the decoded coefficient pool, so
-  the hot path never re-converts the Python tuples; the lazy
-  ``np.array(tuple)`` conversion below is only the fallback for
-  non-compact (test-constructed) functions.
+  Each table is converted once, on its first batch call.
 """
 
 from __future__ import annotations
@@ -35,7 +28,7 @@ from weakref import WeakKeyDictionary
 
 import numpy as np
 
-__all__ = ["prime", "rint_i64", "table", "trunc_i64"]
+__all__ = ["rint_i64", "table", "trunc_i64"]
 
 _TABLE_CACHE: WeakKeyDictionary = WeakKeyDictionary()
 
@@ -48,27 +41,6 @@ def rint_i64(x: np.ndarray) -> np.ndarray:
 def trunc_i64(x: np.ndarray) -> np.ndarray:
     """``int(x)`` per lane (truncation toward zero), as int64."""
     return x.astype(np.int64)
-
-
-def prime(owner: object, attr: str, arr: np.ndarray) -> None:
-    """Pre-populate :func:`table`'s cache with a read-only float64 view.
-
-    ``arr`` must hold exactly the doubles of ``getattr(owner, attr)``
-    (the compact decoder guarantees this: both come from the same pool
-    bytes).  Priming is idempotent; the first entry wins so a primed
-    zero-copy view is never displaced by a later lazy conversion.
-    """
-    per = _TABLE_CACHE.get(owner)
-    if per is None:
-        per = {}
-        _TABLE_CACHE[owner] = per
-    if attr not in per:
-        if arr.dtype != np.float64:
-            arr = arr.astype(np.float64)
-        if arr.flags.writeable:
-            arr = arr.view()
-            arr.setflags(write=False)
-        per[attr] = arr
 
 
 def table(owner: object, attr: str) -> np.ndarray:

@@ -187,7 +187,7 @@ def _posit_table(fmt: PositFormat) -> tuple:
     NaN/inf, maxpos/minpos for the saturation binades.  Row 0 (zeros
     and double subnormals) rounds any nonzero fraction up from 0 to
     minpos's pattern 1.  Cached per format, so every kernel of one
-    target (and every serve worker's ``from_parts``) shares one table.
+    target (and every serve worker's pipeline) shares one table.
     """
     es = fmt.es
     avail = fmt.nbits - 1

@@ -134,8 +134,11 @@ class GeneratedFunction:
         bf = self.__dict__.get("_batch")
         if bf is None:
             from repro.batch.engine import BatchFunction
+            from repro.batch.kernels import compile_approx
 
-            bf = self.__dict__["_batch"] = BatchFunction(self)
+            bf = self.__dict__["_batch"] = BatchFunction(
+                self.spec.rr, [compile_approx(af) for af in self._funcs],
+                self.spec.target)
         return bf
 
     def evaluate_many(self, xs):

@@ -30,7 +30,9 @@ Decoding is exact by construction: every double travels as its 64-bit
 pattern, so ``decode(encode(data))`` reproduces the legacy ``DATA``
 dict bit for bit (``tablecheck`` rule TC210 re-proves this for every
 shipped module; :func:`render_compact` re-proves it at freeze time
-before any file is written).
+before any file is written).  The dict is all that decoding yields:
+:func:`repro.libm.runtime.load_function` builds every shipped function
+as ``function_from_dict(decode(COMPACT))``.
 
 Skeleton markers (a dict with one ``@``-key; literal dict keys may
 never start with ``@``, enforced at encode time):
@@ -48,14 +50,13 @@ from __future__ import annotations
 
 import base64
 import struct
-from typing import Any, NamedTuple, Optional
+from typing import Any, Optional
 
 import numpy as np
 
 from repro.core.polynomials import padding_shape, unique_rows
 
-__all__ = ["COMPACT_VERSION", "CompactError", "DecodedModule", "decode",
-           "decode_module", "encode", "function_from_compact",
+__all__ = ["COMPACT_VERSION", "CompactError", "decode", "encode",
            "render_compact"]
 
 COMPACT_VERSION = 1
@@ -363,19 +364,8 @@ def encode(data: dict) -> dict:
     }
 
 
-class DecodedModule(NamedTuple):
-    """One decoded compact module, with its range-reduction views."""
-
-    #: the exact legacy DATA dict
-    data: dict
-    #: the read-only float64 pool every view below aliases
-    pool: np.ndarray
-    #: rr_state attr → (offset, n) for every float-vector table
-    rr_vectors: dict[str, tuple[int, int]]
-
-
-def decode_module(comp: dict) -> DecodedModule:
-    """Decode a compact blob into the legacy dict plus pool views."""
+def decode(comp: dict) -> dict:
+    """The exact legacy ``DATA`` dict of a compact blob."""
     if not isinstance(comp, dict):
         raise CompactError(f"COMPACT is {type(comp).__name__}, not dict")
     if comp.get("version") != COMPACT_VERSION:
@@ -389,45 +379,7 @@ def decode_module(comp: dict) -> DecodedModule:
     skel = comp["data"]
     if not isinstance(skel, dict):
         raise CompactError("COMPACT['data'] must be a dict skeleton")
-
-    data = {key: _decode_node(value, pool) for key, value in skel.items()}
-
-    rr_vectors: dict[str, tuple[int, int]] = {}
-    rr_skel = skel.get("rr_state")
-    if isinstance(rr_skel, dict):
-        for attr, node in rr_skel.items():
-            if isinstance(node, dict) and set(node) == {"@fv"}:
-                off, n = node["@fv"]
-                rr_vectors[attr] = (off, n)
-    return DecodedModule(data, pool, rr_vectors)
-
-
-def decode(comp: dict) -> dict:
-    """The exact legacy ``DATA`` dict of a compact blob."""
-    return decode_module(comp).data
-
-
-def function_from_compact(comp: dict):
-    """Rebuild a runnable GeneratedFunction straight from a compact blob.
-
-    Beyond :func:`repro.libm.serialize.function_from_dict` on the
-    decoded dict, this :func:`~repro.batch.reduce.prime`\\ s every
-    float-vector range-reduction table with a zero-copy view into the
-    pool, so ``compensate_batch`` never re-converts the Python tuples.
-    The batch kernels are lowered from the decoded polynomials
-    (:func:`repro.batch.kernels.lower`).
-    """
-    from repro.batch.reduce import prime
-    from repro.libm.serialize import function_from_dict
-
-    dec = decode_module(comp)
-    fn = function_from_dict(dec.data)
-    rr = fn.spec.rr
-    for attr, (off, n) in dec.rr_vectors.items():
-        v = getattr(rr, attr, None)
-        if isinstance(v, tuple) and len(v) == n:
-            prime(rr, attr, dec.pool[off:off + n])
-    return fn
+    return {key: _decode_node(value, pool) for key, value in skel.items()}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ import importlib
 import sys
 
 from repro.core.generator import GeneratedFunction
+from repro.libm.compact import decode
 from repro.libm.serialize import function_from_dict
 from repro.obs import metrics
 
@@ -129,16 +130,7 @@ def load_function(fn_name: str, target: str = "float32",
             raise LookupError(
                 f"no frozen data for {fn_name}/{target}; generate it with "
                 f"'python -m repro generate --target {target}'")
-        comp = getattr(mod, "COMPACT", None)
-        if comp is not None:
-            # compact frozen layout: decode the pool directly and keep
-            # its zero-copy rr-table views — never materialize the
-            # legacy literal dict here
-            from repro.libm.compact import function_from_compact
-
-            fn = function_from_compact(comp)
-        else:
-            fn = function_from_dict(mod.DATA)
+        fn = function_from_dict(decode(mod.COMPACT))
         _cache[key] = fn
     if instrumented:
         return instrument(fn)

@@ -27,7 +27,6 @@ from fractions import Fraction
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from repro.fp.bits import double_to_bits
 from repro.lp.rational_simplex import LPStatus, solve_lp_exact
@@ -245,6 +244,10 @@ def _fit(
     cost[n] = -1.0  # maximize delta
     bounds = [(None, None)] * n + [(0.0, 1.0)]
 
+    # imported here, not at module top: loading a frozen table must not
+    # pay SciPy's import (about half a second of cold start)
+    from scipy.optimize import linprog
+
     res = linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=bounds,
                   method="highs", options=dict(_HIGHS_OPTIONS))
     if not res.success:
@@ -321,6 +324,7 @@ def _iterative_refinement(
     n = len(keep)
     kept_exps = [exponents[j] for j in keep]
     t = rs / s
+    from scipy.optimize import linprog
 
     for _ in range(rounds):
         _C_REFINE_ROUNDS.inc()

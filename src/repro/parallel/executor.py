@@ -83,43 +83,33 @@ def _context() -> multiprocessing.context.BaseContext:
 #
 # ROADMAP's parallel-scaling regression traced to fork/pickle overhead
 # dominating the now-fast serial path: every run_tasks call paid a fresh
-# pool.  Pools memoized here are keyed by (kind, workers) and live until
-# discarded, so repeated runs — validate passes, the serving layer's
-# dispatch path, back-to-back benchmarks — amortize the fork.  The
-# ``workers.pool_reuse`` counter records every amortized hit; the serving
-# benchmark and bench_parallel_scaling share it to prove they are not
-# double-forking.
+# pool.  Pools memoized here are keyed by worker count and live until
+# discarded, so repeated run_tasks(reuse_pool=True) calls — validate
+# passes, back-to-back benchmarks — amortize the fork.  The
+# ``workers.pool_reuse`` counter records every amortized hit.
 
-_SHARED_POOLS: dict[tuple, ProcessPoolExecutor] = {}
+_SHARED_POOLS: dict[int, ProcessPoolExecutor] = {}
 
 
-def shared_pool(workers: int, *, kind: str = "tasks",
-                initializer: Callable | None = None,
-                initargs: tuple = ()) -> ProcessPoolExecutor:
-    """The memoized pool for ``(kind, workers)``, created on first use.
+def shared_pool(workers: int) -> ProcessPoolExecutor:
+    """The memoized pool of ``workers`` processes, created on first use.
 
-    ``initializer``/``initargs`` only apply on creation (they are part
-    of the pool's identity in spirit, so callers must use a distinct
-    ``kind`` per initializer — the serving layer keys by arena name).
     Increments ``workers.pool_reuse`` on every memo hit.
     """
-    key = (kind, workers)
-    pool = _SHARED_POOLS.get(key)
+    pool = _SHARED_POOLS.get(workers)
     if pool is not None:
         metrics.counter("workers.pool_reuse").inc()
         return pool
     flush_active()
-    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_context(),
-                               initializer=initializer, initargs=initargs)
-    _SHARED_POOLS[key] = pool
+    pool = ProcessPoolExecutor(max_workers=workers, mp_context=_context())
+    _SHARED_POOLS[workers] = pool
     metrics.counter("workers.pool_created").inc()
     return pool
 
 
-def discard_shared_pool(kind: str, workers: int, *,
-                        cancel: bool = False) -> None:
+def discard_shared_pool(workers: int, *, cancel: bool = False) -> None:
     """Shut down and forget one memoized pool (no-op when absent)."""
-    pool = _SHARED_POOLS.pop((kind, workers), None)
+    pool = _SHARED_POOLS.pop(workers, None)
     if pool is not None:
         pool.shutdown(wait=not cancel, cancel_futures=cancel)
 
@@ -210,7 +200,7 @@ def run_tasks(
                         on_result(i, result)
         except BaseException:
             if reuse_pool:
-                discard_shared_pool("tasks", n_workers, cancel=True)
+                discard_shared_pool(n_workers, cancel=True)
             else:
                 pool.shutdown(wait=False, cancel_futures=True)
             raise

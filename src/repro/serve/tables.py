@@ -27,10 +27,9 @@ worker needs *except* the doubles:
 
 * the range reduction's kind + frozen state, with every float-vector
   table lifted out of the pickled state into the arena
-  (``rr_vecs``: attr → (offset in doubles, length)); the attach
-  rebuilds the tuples and *primes* the batch table cache
-  (:func:`repro.batch.reduce.prime`) with the zero-copy arena views,
-  so the hot path never re-converts them;
+  (``rr_vecs``: attr → (offset in doubles, length)), which keeps the
+  pickled manifest small; the attach rebuilds the tuples from the
+  arena;
 * per elementary function one :class:`~repro.batch.kernels.Lowered`
   descriptor: its fields, with ``cols`` replaced by
   ``(offset, nterms, nuniq)`` into the arena and ``index`` stored as
@@ -193,8 +192,8 @@ class AttachedArena:
 
     :meth:`batch_function` rebuilds the full batch pipeline for one
     key — range reduction from its pickled state (float-vector tables
-    rebuilt from, and primed with, arena views), Horner kernels as
-    zero-copy views into the segment — and memoizes it.
+    rebuilt from the arena), Horner kernels over zero-copy views into
+    the segment — and memoizes it.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, manifest: dict,
@@ -225,7 +224,6 @@ class AttachedArena:
         bf = self._funcs.get(key)
         if bf is not None:
             return bf
-        from repro.batch.reduce import prime
         from repro.libm.serialize import TARGETS_BY_NAME, _rr_from_state
 
         entry = self.manifest["entries"].get(key)
@@ -233,16 +231,11 @@ class AttachedArena:
             raise ArenaError(f"arena {self.name} does not serve {key!r}")
         target = TARGETS_BY_NAME[entry["target"]]
         state = dict(entry["rr_state"])
-        primed: list[tuple[str, np.ndarray]] = []
         for attr, (off, n) in entry["rr_vecs"].items():
-            view = self._arena[off:off + n]
-            state[attr] = tuple(view.tolist())
-            primed.append((attr, view))
+            state[attr] = tuple(self._arena[off:off + n].tolist())
         rr = _rr_from_state(entry["rr_kind"], state, target)
-        for attr, view in primed:
-            prime(rr, attr, view)
         kernels = [self._kernel(desc) for desc in entry["fns"]]
-        bf = BatchFunction.from_parts(rr, kernels, target)
+        bf = BatchFunction(rr, kernels, target)
         self._funcs[key] = bf
         return bf
 

@@ -1,12 +1,11 @@
 """The serving layer's worker pool: evaluate batches against the arena.
 
-Workers are plain :class:`concurrent.futures.ProcessPoolExecutor`
-processes drawn from :func:`repro.parallel.executor.shared_pool` (one
-memoized pool per arena — repeated services and the benchmarks share
-the fork, counted by ``workers.pool_reuse``).  Each worker runs
-:func:`_init_worker` once: detach the inherited trace sink, reset
-metrics, and :func:`~repro.serve.tables.attach` the shared-memory arena
-pinned to the publisher's content hash.  After that, every batch is a
+Workers are the processes of one plain
+:class:`concurrent.futures.ProcessPoolExecutor` owned by the
+:class:`WorkerPool`.  Each worker runs :func:`_init_worker` once:
+detach the inherited trace sink, reset metrics, and
+:func:`~repro.serve.tables.attach` the shared-memory arena pinned to
+the publisher's content hash.  After that, every batch is a
 pure function of the request bytes and the read-only arena — workers
 never import a ``data_*`` module and hold no mutable state beyond
 memoized kernels.
@@ -23,12 +22,13 @@ from __future__ import annotations
 import asyncio
 import time
 
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 
 from repro.obs import metrics
-from repro.parallel.executor import discard_shared_pool, shared_pool
+from repro.parallel.executor import _context
 from repro.serve import tables
 from repro.serve.protocol import OP_EVAL, OP_EVAL_BITS, OP_EVAL_FROM_BITS
 
@@ -77,20 +77,20 @@ class WorkerPool:
         self.arena_name = arena_name
         self.content_hash = content_hash
         self.workers = max(1, int(workers))
-        self._kind = f"serve:{arena_name}"
         self._pool = self._make_pool()
         self._busy_s = 0.0
         self._t_start = time.perf_counter()
 
     def _make_pool(self):
-        return shared_pool(self.workers, kind=self._kind,
-                           initializer=_init_worker,
-                           initargs=(self.arena_name, self.content_hash))
+        return ProcessPoolExecutor(
+            self.workers, mp_context=_context(), initializer=_init_worker,
+            initargs=(self.arena_name, self.content_hash))
 
-    def _rebuild(self) -> None:
-        metrics.counter("serve.worker.crashes").inc()
-        discard_shared_pool(self._kind, self.workers, cancel=True)
-        self._pool = self._make_pool()
+    def _rebuild(self, broken: ProcessPoolExecutor) -> None:
+        if self._pool is broken:        # once per crash, not per batch
+            metrics.counter("serve.worker.crashes").inc()
+            broken.shutdown(wait=False, cancel_futures=True)
+            self._pool = self._make_pool()
 
     def _account(self, busy_s: float, lanes: int) -> None:
         self._busy_s += busy_s
@@ -104,32 +104,28 @@ class WorkerPool:
     async def run(self, key: str, op: int,
                   data: np.ndarray) -> np.ndarray:
         """Evaluate one batch on the pool (retries once after a crash)."""
-        loop = asyncio.get_running_loop()
+        pool = self._pool
         try:
-            out, busy_s = await loop.run_in_executor(
-                None, self._call, key, op, data)
+            out, busy_s = await asyncio.wrap_future(
+                pool.submit(eval_task, key, op, data))
         except BrokenProcessPool:
-            self._rebuild()
-            out, busy_s = await loop.run_in_executor(
-                None, self._call, key, op, data)
+            self._rebuild(pool)
+            out, busy_s = await asyncio.wrap_future(
+                self._pool.submit(eval_task, key, op, data))
         self._account(busy_s, len(data))
         return out
 
-    def _call(self, key: str, op: int, data: np.ndarray):
-        # runs on the event loop's default thread pool: submit to the
-        # process pool and block the *thread* (never the loop) on it
-        return self._pool.submit(eval_task, key, op, data).result()
-
     def run_sync(self, key: str, op: int, data: np.ndarray) -> np.ndarray:
         """Blocking twin of :meth:`run` (tests; synchronous tools)."""
+        pool = self._pool
         try:
-            out, busy_s = self._call(key, op, data)
+            out, busy_s = pool.submit(eval_task, key, op, data).result()
         except BrokenProcessPool:
-            self._rebuild()
-            out, busy_s = self._call(key, op, data)
+            self._rebuild(pool)
+            out, busy_s = self._pool.submit(eval_task, key, op, data).result()
         self._account(busy_s, len(data))
         return out
 
     def close(self) -> None:
-        """Shut the pool down and drop the memo (idempotent)."""
-        discard_shared_pool(self._kind, self.workers, cancel=True)
+        """Shut the pool down (idempotent)."""
+        self._pool.shutdown(wait=True, cancel_futures=True)

@@ -62,6 +62,21 @@ class TestPackageShape:
         env["PYTHONPATH"] = os.path.join(_REPO, "src")
         subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
+    @pytest.mark.parametrize("work", [
+        "import numpy as np\n"
+        "from repro import api\n"
+        "api.load('exp', 'posit32').evaluate_bits_batch(\n"
+        "    np.array([0.5, 1.0, 2.0]))\n",
+        "import repro.serve\n",
+    ], ids=["load_and_evaluate", "import_serve"])
+    def test_runtime_paths_do_not_import_scipy(self, work):
+        """Loading and evaluating frozen tables never needs the LP
+        solver, so the runtime must not pay SciPy's import."""
+        code = work + "import sys\nassert 'scipy' not in sys.modules\n"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(_REPO, "src")
+        subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
 
 class TestLegacyEntryPoints:
     def test_facade_load_does_not_warn(self):

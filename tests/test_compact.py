@@ -2,10 +2,9 @@
 
 The compact codec carries every double as its 64-bit pattern, so its
 one hard contract is *bit identity*: ``decode(encode(data))`` must
-reproduce the legacy ``DATA`` dict exactly, a compact-loaded function
-must agree with the dict-loaded one on every output bit, and the
-rr-table views it primes must never change a result — only where it is
-computed from.  The batch lowering shares the freezer's padding
+reproduce the legacy ``DATA`` dict exactly.  Every shipped function is
+loaded as ``function_from_dict(decode(COMPACT))``, so that dict is the
+whole contract.  The batch lowering shares the freezer's padding
 predicate, so the kernel tests live here too.
 """
 
@@ -20,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.libm import compact
-from repro.libm.compact import (CompactError, decode, decode_module, encode,
-                                function_from_compact, render_compact)
+from repro.libm.compact import CompactError, decode, encode, render_compact
 from repro.libm.serialize import (_deep_equal, function_from_dict,
                                   function_to_dict)
 
@@ -34,6 +32,11 @@ SHIPPED = [("float32", f) for f in ("ln", "log2", "log10", "exp", "exp2",
 
 def _shipped_module(target: str, name: str):
     return importlib.import_module(f"repro.libm.data_{target}.{name}")
+
+
+def _shipped_function(target: str, name: str):
+    """A fresh function built the way ``runtime.load_function`` builds it."""
+    return function_from_dict(decode(_shipped_module(target, name).COMPACT))
 
 
 # ---------------------------------------------------------------------------
@@ -130,9 +133,9 @@ class TestBlobValidation:
             decode(comp)
 
     def test_pool_is_read_only(self):
-        dec = decode_module(encode({"v": (1.0, 2.0, 3.0)}))
+        pool = compact._unpack_pool(encode({"v": (1.0, 2.0, 3.0)}))
         with pytest.raises(ValueError):
-            dec.pool[0] = 9.0
+            pool[0] = 9.0
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +199,7 @@ class TestSidePacking:
         from repro.batch.kernels import lower
 
         for target, name in SHIPPED:
-            fn = function_from_compact(_shipped_module(target, name).COMPACT)
+            fn = _shipped_function(target, name)
             for fn_name in fn.spec.rr.fn_names:
                 af = fn.approx[fn_name]
                 lw = lower(af)
@@ -236,7 +239,7 @@ class TestSidePacking:
                            ((0, 1, 2), (6.0, 7.0, 8.0))])
         comp, node = self._encode_side(side)
         off, nterms, nuniq = node["@pp"]["cols"]
-        packed = decode_module(comp).pool[off:off + nterms * nuniq]
+        packed = compact._unpack_pool(comp)[off:off + nterms * nuniq]
         legacy = decode(comp)["approx"]["f"]["pos"]
         lw = lower(ApproxFunc("f", None, _piecewise_from_dict(legacy)))
         assert lw.cols.shape == (nterms, nuniq) == (3, 3)
@@ -260,60 +263,6 @@ class TestShippedModules:
         # re-render the shipped dict and prove the verifier stays green
         mod = _shipped_module(target, name)
         assert "COMPACT" in render_compact(mod.DATA)
-
-    def test_compact_function_bit_identical_scalar(self):
-        # stratified scalar differential: compact-loaded vs dict-loaded
-        rng = np.random.default_rng(2021)
-        for target, name in [("float32", "sinh"), ("float32", "exp"),
-                             ("posit32", "log2")]:
-            mod = _shipped_module(target, name)
-            via_compact = function_from_compact(mod.COMPACT)
-            via_dict = function_from_dict(mod.DATA)
-            if target == "float32":
-                xs = np.concatenate([
-                    rng.uniform(-10, 10, 200),
-                    rng.uniform(-1e-3, 1e-3, 100),
-                    [0.0, -0.0, 1.0, -1.0, math.inf, -math.inf, math.nan],
-                ])
-            else:
-                xs = np.concatenate([rng.uniform(0.01, 100, 300),
-                                     [1.0, 2.0, 0.5]])
-            for x in xs:
-                x = float(x)
-                a = via_compact.evaluate_bits(x)
-                b = via_dict.evaluate_bits(x)
-                assert a == b, (target, name, x)
-
-    def test_compact_function_bit_identical_batch(self):
-        from repro.batch.engine import BatchFunction
-
-        rng = np.random.default_rng(7)
-        for target, name in [("float32", "cosh"), ("posit32", "exp10")]:
-            mod = _shipped_module(target, name)
-            bf_c = BatchFunction(function_from_compact(mod.COMPACT))
-            bf_d = BatchFunction(function_from_dict(mod.DATA))
-            if target == "float32":
-                xs = rng.uniform(-80, 80, 50_000)
-                xs[::97] = -0.0
-                xs[1::97] = 0.0
-                xs[2::997] = np.nan
-            else:
-                xs = rng.uniform(1e-6, 1e6, 50_000)
-            got = bf_c.evaluate_bits_many(xs)
-            want = bf_d.evaluate_bits_many(xs)
-            assert (got == want).all(), (target, name)
-
-    def test_frozen_views_prime_the_batch_caches(self):
-        from repro.batch.reduce import table
-
-        mod = _shipped_module("float32", "sinh")
-        fn = function_from_compact(mod.COMPACT)
-        dec = decode_module(mod.COMPACT)
-        rr = fn.spec.rr
-        for attr, (off, n) in dec.rr_vectors.items():
-            arr = table(rr, attr)
-            assert not arr.flags.writeable  # primed view, not a copy
-            assert np.array_equal(arr, dec.pool[off:off + n])
 
     @pytest.mark.parametrize("target,name", SHIPPED)
     def test_certificates_still_verify(self, target, name):
@@ -419,7 +368,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(11)
         checked = 0
         for target, name in SHIPPED:
-            fn = function_from_compact(_shipped_module(target, name).COMPACT)
+            fn = _shipped_function(target, name)
             for fn_name in fn.spec.rr.fn_names:
                 af = fn.approx[fn_name]
                 _assert_matches_scalar(af, _slot_lanes(rng, af))
@@ -457,7 +406,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(11)
         checked = 0
         for target, name in SHIPPED:
-            fn = function_from_compact(_shipped_module(target, name).COMPACT)
+            fn = _shipped_function(target, name)
             for fn_name in fn.spec.rr.fn_names:
                 full = fn.approx[fn_name]
                 for af in (full, ApproxFunc(fn_name, None, full.pos),
@@ -480,7 +429,7 @@ class TestKernelEquivalence:
         rng = np.random.default_rng(13)
         merged_seen = 0
         for target, name in SHIPPED:
-            fn = function_from_compact(_shipped_module(target, name).COMPACT)
+            fn = _shipped_function(target, name)
             for fn_name in fn.spec.rr.fn_names:
                 af = fn.approx[fn_name]
                 if af.neg is None or af.pos is None:
